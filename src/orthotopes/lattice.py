@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .arrangement import DEGENERATE, Cylinder, OrthantSet, SetOp, recognize
+from .arrangement import DEGENERATE, OrthantSet, SetOp, orthant_counts, recognize
 from .spd import SignedSpd, bouquet, canonical_key
 
 __all__ = [
@@ -181,16 +181,20 @@ class IntegralOrthotope:
     ``scale``.  The set is stored as a list of integer boxes; the explicit
     cell set is materialized lazily because thickened instances can cover
     millions of cells while all invariants are computable from the boxes.
-    Instances are immutable; equality compares (dim, scale, cell set).
+    The compressed classification scan is built on first use and cached,
+    so every invariant of one instance shares a single scan.  Instances
+    are immutable; equality and hash compare (dim, scale, cell set) and
+    ignore the cached scan.
     """
 
-    __slots__ = ("dim", "scale", "_boxes", "_cells")
+    __slots__ = ("dim", "scale", "_boxes", "_cells", "_scan")
 
     def __init__(self, dim: int, scale: int, boxes, cells):
         self.dim = dim
         self.scale = scale
         self._boxes = boxes
         self._cells = cells
+        self._scan = None
 
     @property
     def boxes(self) -> tuple:
@@ -244,8 +248,7 @@ class IntegralOrthotope:
         materializing the cell set."""
         if self._cells is not None:
             return len(self._cells)
-        scan = _Scan(self)
-        return scan.cell_total()
+        return _scan_for(self).cell_total()
 
     def __eq__(self, other):
         if not isinstance(other, IntegralOrthotope):
@@ -336,16 +339,14 @@ class _MaskProfile:
 def _mask_profile(dim: int, mask: int) -> _MaskProfile:
     oset = OrthantSet(dim, mask)
     floral = recognize(oset)
-    degenerate = floral is DEGENERATE or (
-        isinstance(floral, Cylinder) and floral.diagram is DEGENERATE
-    )
+    degenerate = floral is DEGENERATE
     if mask == 0:
         essential: tuple[int, ...] = ()
         degree = None
     else:
         essential = tuple(sorted(oset.essential_axes()))
         degree = dim - len(essential)
-    mu_d, tau_d = _mask_counts(dim, mask)
+    mu_d, tau_d = orthant_counts(oset)
     is_vertex = degree == 0 and not degenerate
     class_key = None
     sigma = 0
@@ -356,18 +357,6 @@ def _mask_profile(dim: int, mask: int) -> _MaskProfile:
     return _MaskProfile(
         mu_d, tau_d, essential, degree, floral, degenerate, is_vertex, class_key, sigma
     )
-
-
-def _mask_counts(dim: int, mask: int) -> tuple[int, int]:
-    mu = 0
-    tau = 0
-    m = mask
-    while m:
-        k = (m & -m).bit_length() - 1
-        mu += 1
-        tau += -1 if (dim - k.bit_count()) % 2 else 1
-        m &= m - 1
-    return mu, tau
 
 
 def _mask_dtype(dim: int):
@@ -395,8 +384,9 @@ class _Scan:
     both ends so that boundary points see the exterior.  Positions along
     an axis are indexed by r = 0 .. 2*(len(edges)-1) - 2; even r is the
     interior of slab r//2 and odd r is the edge shared by slabs r//2 and
-    r//2 + 1.  The mask array assigns to every position tuple the bit set
-    of occupied orthants around the corresponding point."""
+    r//2 + 1.  Every position gets the bit set of occupied orthants around
+    the corresponding point; the scan keeps only its index ``inverse``
+    into ``unique_masks`` and the ``profiles`` of those masks."""
 
     def __init__(self, P: IntegralOrthotope, compress: bool = True):
         self.dim = P.dim
@@ -427,8 +417,8 @@ class _Scan:
             )
             occ[sel] = True
         self.occ = occ
-        self.masks = self._build_masks(occ)
-        flat = self.masks.reshape(-1)
+        masks = self._build_masks(occ)
+        flat = masks.reshape(-1)
         if flat.dtype == object:
             seen: dict[int, int] = {}
             inverse = np.empty(flat.shape[0], dtype=np.int64)
@@ -443,30 +433,23 @@ class _Scan:
         else:
             uniq, inverse = np.unique(flat, return_inverse=True)
             self.unique_masks = [int(u) for u in uniq]
-        self.inverse = inverse.reshape(self.masks.shape)
+        self.inverse = inverse.reshape(masks.shape)
         self.profiles = {m: _mask_profile(self.dim, m) for m in self.unique_masks}
 
     def _build_masks(self, occ):
-        d = self.dim
-        sizes = tuple(2 * (len(e) - 1) - 1 for e in self.edges)
-        lo_sel = [np.arange(s) // 2 for s in sizes]
-        hi_sel = [(np.arange(s) + 1) // 2 for s in sizes]
-        dtype = _mask_dtype(d)
-        if dtype is object:
-            masks = np.zeros(sizes, dtype=object)
-            source = occ.astype(object)
-        else:
-            masks = np.zeros(sizes, dtype=dtype)
-            source = occ.astype(dtype)
-        for s in range(1 << d):
-            sel = tuple(
-                hi_sel[j] if (s >> j) & 1 else lo_sel[j] for j in range(d)
-            )
-            contrib = source[np.ix_(*sel)]
-            if dtype is object:
-                masks = masks + contrib * (1 << s)
-            else:
-                masks |= contrib << dtype(s)
+        """Orthant masks of every position, one pass per axis.  After the
+        passes for axes 0 .. j-1, bit s < 2^j of an entry is the occupancy
+        of the neighbouring cell on the hi side of axis i when bit i of s
+        is set and on the lo side otherwise.  The pass for axis j doubles
+        that axis into positions and shifts the bits taken from the hi-side
+        neighbour up by 2^j."""
+        masks = occ.astype(_mask_dtype(self.dim))
+        for j in range(self.dim):
+            r = np.arange(2 * masks.shape[j] - 1)
+            lo = np.take(masks, r // 2, axis=j)
+            masks = np.take(masks, (r + 1) // 2, axis=j)
+            masks <<= np.asarray(1 << j, dtype=masks.dtype)
+            masks |= lo
         return masks
 
     # position helpers ------------------------------------------------
@@ -509,7 +492,7 @@ class _Scan:
         flat = int(np.argmax(hit.reshape(-1)))
         if not hit.reshape(-1)[flat]:
             return None
-        idx = np.unravel_index(flat, self.masks.shape)
+        idx = np.unravel_index(flat, self.inverse.shape)
         return self.point_of(idx)
 
     def vertex_entries(self):
@@ -535,8 +518,11 @@ class _Scan:
         return out
 
 
-def _scan_for(P: IntegralOrthotope, compress: bool = True) -> _Scan:
-    return _Scan(P, compress=compress)
+def _scan_for(P: IntegralOrthotope) -> _Scan:
+    """The compressed scan of ``P``, built on first use and cached on it."""
+    if P._scan is None:
+        P._scan = _Scan(P)
+    return P._scan
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +563,8 @@ def check_generic(P: IntegralOrthotope, *, compress: bool = True) -> Genericity:
     """Decide whether every tangent cone of ``P`` is a floral arrangement.
     The ``compress`` flag selects between the slab-compressed scan and a
     full-resolution scan; both give the same verdict and exist so the two
-    can cross-check each other."""
-    scan = _scan_for(P, compress=compress)
+    can cross-check each other; only the compressed scan is cached."""
+    scan = _scan_for(P) if compress else _Scan(P, compress=False)
     if scan.empty:
         return Genericity(True)
     witness = scan.degenerate_witness()
@@ -653,8 +639,8 @@ def volume(P: IntegralOrthotope, method: VolumeMethod = VolumeMethod.MU_SUM) -> 
             total += term
         return total if d % 2 == 0 else -total
     scan = _require_generic(P)
-    pop = _popcounts(scan.masks)
-    acc = pop
+    mu = np.array([scan.profiles[m].mu_d for m in scan.unique_masks], dtype=np.int64)
+    acc = mu[scan.inverse]
     for j in reversed(range(d)):
         w = scan.widths(j).astype(np.int64)
         size = 2 * len(w) - 1
@@ -664,13 +650,6 @@ def volume(P: IntegralOrthotope, method: VolumeMethod = VolumeMethod.MU_SUM) -> 
         acc = np.tensordot(acc, weights, axes=([acc.ndim - 1], [0]))
     total = int(acc)
     return Fraction(total, (1 << d) * n**d)
-
-
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    if masks.dtype == object:
-        counter = np.frompyfunc(lambda v: int(v).bit_count(), 1, 1)
-        return counter(masks).astype(np.int64)
-    return np.bitwise_count(masks).astype(np.int64)
 
 
 def euler(P: IntegralOrthotope, method: EulerMethod = EulerMethod.SIGMA_SUM) -> int:
@@ -761,7 +740,7 @@ def face_poset(P: IntegralOrthotope) -> FacePoset:
     taking closures, with containment among closures.  Runs at full grid
     resolution, so it is intended for desk-scale instances."""
     _require_generic(P)
-    scan = _scan_for(P, compress=False)
+    scan = _Scan(P, compress=False)
     if scan.empty:
         return FacePoset((), frozenset())
     d = P.dim

@@ -13,8 +13,10 @@ from fractions import Fraction
 from math import comb
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from orthotopes import cli, lattice
 from orthotopes.arrangement import DEGENERATE, Cylinder, SetOp
 from orthotopes.lattice import (
     ConsistencyError,
@@ -652,3 +654,122 @@ def test_sigma_quadruple_on_offset_grids():
             continue
         checked += 1
         assert sigma_sum(A) + sigma_sum(B) == sigma_sum(union) + sigma_sum(inter)
+
+
+# ---------------------------------------------------------------------------
+# the classification scan
+
+
+def _masks_by_orthant(dim, occ):
+    """Reference mask build: one ``np.ix_`` gather per orthant, 2^dim
+    passes over the doubled grid.  The library builds the same array in
+    one pass per axis."""
+    sizes = tuple(2 * n - 1 for n in occ.shape)
+    lo_sel = [np.arange(s) // 2 for s in sizes]
+    hi_sel = [(np.arange(s) + 1) // 2 for s in sizes]
+    dtype = lattice._mask_dtype(dim)
+    if dtype is object:
+        masks = np.zeros(sizes, dtype=object)
+        source = occ.astype(object)
+    else:
+        masks = np.zeros(sizes, dtype=dtype)
+        source = occ.astype(dtype)
+    for s in range(1 << dim):
+        sel = tuple(hi_sel[j] if (s >> j) & 1 else lo_sel[j] for j in range(dim))
+        contrib = source[np.ix_(*sel)]
+        if dtype is object:
+            masks = masks + contrib * (1 << s)
+        else:
+            masks |= contrib << dtype(s)
+    return masks
+
+
+def _random_touching_union(rng, pool_sizes, count):
+    """Union of ``count`` boxes whose corners on axis j come from a pool of
+    ``pool_sizes[j]`` coordinates, so boxes overlap and share faces, edges
+    and corners; the result is often degenerate."""
+    pools = [sorted(rng.sample(range(2 * k), k)) for k in pool_sizes]
+    boxes = []
+    for _ in range(count):
+        spans = [sorted(rng.sample(pool, 2)) for pool in pools]
+        boxes.append((tuple(a for a, _b in spans), tuple(b for _a, b in spans)))
+    return from_boxes(len(pool_sizes), boxes)
+
+
+# Coordinate pools per axis, small enough in d = 6 and 7 that the 2^d-pass
+# reference stays quick; d = 7 runs on object-dtype masks.
+_POOLS = {
+    1: (9,),
+    2: (7, 7),
+    3: (5, 5, 5),
+    4: (4, 4, 4, 4),
+    5: (3, 3, 3, 3, 3),
+    6: (3, 3, 3, 3, 2, 2),
+    7: (3, 3, 2, 2, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(_POOLS))
+def test_axis_pass_masks_match_orthant_passes(dim):
+    rng = random.Random(1000 + dim)
+    dtype = lattice._mask_dtype(dim)
+    for trial in range(4):
+        P = _random_touching_union(rng, _POOLS[dim], 1 + trial)
+        scan = lattice._Scan(P)
+        built = scan._build_masks(scan.occ)
+        expected = _masks_by_orthant(dim, scan.occ)
+        assert built.dtype == np.dtype(dtype)
+        assert built.shape == expected.shape == scan.inverse.shape
+        assert np.array_equal(built, expected)
+        for _ in range(6):
+            idx = tuple(rng.randrange(s) for s in built.shape)
+            cone = classify_point(P, scan.point_of(idx)).cone
+            assert int(built[idx]) == cone.mask, (idx, P.boxes)
+
+
+def _count_scans(monkeypatch):
+    """Record the ``compress`` flag of every scan built from now on."""
+    built = []
+    original = lattice._Scan.__init__
+
+    def counting(self, P, compress=True):
+        built.append(compress)
+        original(self, P, compress)
+
+    monkeypatch.setattr(lattice._Scan, "__init__", counting)
+    return built
+
+
+def test_analyze_builds_one_scan(monkeypatch):
+    P = from_boxes(3, from_cells(3, TORUS_CELLS).boxes)
+    built = _count_scans(monkeypatch)
+    body, code = cli._report(P)
+    assert code == 0 and body["generic"]
+    assert built == [True]
+    assert P.cell_count() == 28 and volume(P, VolumeMethod.VOXEL_COUNT) == 28
+    assert euler(P, EulerMethod.CUBICAL_COMPLEX) == 0
+    assert built == [True]
+
+
+def test_full_resolution_scans_bypass_the_cache(monkeypatch):
+    P = from_cells(3, TORUS_CELLS)
+    built = _count_scans(monkeypatch)
+    assert check_generic(P, compress=False)
+    assert built == [False]
+    assert P._scan is None
+    assert check_generic(P)
+    cached = P._scan
+    assert cached is not None and built == [False, True]
+    face_poset(P)
+    assert built == [False, True, False]
+    assert P._scan is cached
+
+
+def test_cached_scan_leaves_equality_and_hash_alone():
+    P = from_boxes(2, [((0, 0), (3, 2)), ((1, 1), (4, 3))])
+    Q = from_boxes(2, [((0, 0), (3, 2)), ((1, 1), (4, 3))])
+    R = from_cells(2, P.cells)
+    assert check_generic(P)
+    assert P._scan is not None and Q._scan is None and R._scan is None
+    assert P == Q and Q == P and P == R
+    assert hash(P) == hash(Q) == hash(R)
