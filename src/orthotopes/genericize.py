@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import ConsistencyError, IntegralOrthotope, from_boxes
+from .lattice import ConsistencyError, IntegralOrthotope, _rescaled_boxes, from_boxes
 
 __all__ = [
     "PadSchedule",
@@ -214,8 +214,8 @@ def hausdorff_distance(P: IntegralOrthotope, Q: IntegralOrthotope) -> Fraction:
     if P.is_empty or Q.is_empty:
         raise ValueError("Hausdorff distance needs two nonempty sets")
     common = math.lcm(P.scale, Q.scale)
-    a = _scaled_boxes(P, common // P.scale)
-    b = _scaled_boxes(Q, common // Q.scale)
+    a = _rescaled_boxes(P, common // P.scale)
+    b = _rescaled_boxes(Q, common // Q.scale)
     k = max(_directed_halves(P.dim, a, b), _directed_halves(P.dim, b, a))
     return Fraction(k, 2 * common)
 
@@ -239,13 +239,6 @@ def distance_to_faces(P: IntegralOrthotope, faces: Sequence) -> Fraction:
         _directed_halves(P.dim, face_boxes, a),
     )
     return Fraction(k, 2 * n)
-
-
-def _scaled_boxes(P: IntegralOrthotope, factor: int) -> list:
-    return [
-        (tuple(c * factor for c in lo), tuple(c * factor for c in hi))
-        for lo, hi in P.boxes
-    ]
 
 
 def _directed_halves(dim: int, source: list, target: list) -> int:

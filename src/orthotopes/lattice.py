@@ -27,7 +27,6 @@ from functools import lru_cache, reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .arrangement import DEGENERATE, OrthantSet, SetOp, orthant_counts, recognize
 from .spd import SignedSpd, bouquet, canonical_key
@@ -728,47 +727,68 @@ def skeleton(P: IntegralOrthotope) -> SkeletonGraph:
                         f"tau signs fail to alternate along {point} .. {other}"
                     )
                 arcs.add((min(point, other), max(point, other), axis))
-    for point, _tau in nodes:
-        deg = sum(1 for a, b, _x in arcs if point in (a, b))
+    graph = SkeletonGraph(tuple(sorted(nodes)), tuple(sorted(arcs)))
+    for point, deg in graph.degrees().items():
         if deg != P.dim:
             raise ConsistencyError(f"vertex {point} has skeleton degree {deg}")
-    return SkeletonGraph(tuple(sorted(nodes)), tuple(sorted(arcs)))
+    return graph
+
+
+def _region_labels(scan: _Scan) -> np.ndarray:
+    """Connected components of axis-adjacent positions that share one
+    nonempty mask, each labelled by the C-order flat index of its first
+    position; exterior positions get -1.  Roots hook under the smallest
+    root they meet and pointer jumping flattens the trees, until no join
+    crosses two trees (Shiloach and Vishkin, 1982)."""
+    inverse = scan.inverse
+    empty = scan.unique_masks.index(0)  # the padding puts exterior in every scan
+    index = np.arange(inverse.size).reshape(inverse.shape)
+    heads, tails = [], []
+    for j in range(inverse.ndim):
+        lo = (slice(None),) * j + (slice(None, -1),)
+        hi = (slice(None),) * j + (slice(1, None),)
+        join = (inverse[lo] == inverse[hi]) & (inverse[lo] != empty)
+        heads.append(index[lo][join])
+        tails.append(index[hi][join])
+    u, v = np.concatenate(heads), np.concatenate(tails)
+    parent = np.arange(inverse.size)
+    while u.size:
+        pu, pv = parent[u], parent[v]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+        apart = parent[u] != parent[v]
+        u, v = u[apart], v[apart]
+    return np.where(inverse.reshape(-1) == empty, -1, parent).reshape(inverse.shape)
 
 
 def face_poset(P: IntegralOrthotope) -> FacePoset:
     """Genericity regions of the doubled grid, grouped into faces by
     taking closures, with containment among closures.  Runs at full grid
-    resolution, so it is intended for desk-scale instances."""
+    resolution, so it is intended for desk-scale instances.  The local
+    structure is constant along a region, so a region lies in the closure
+    of another as soon as one of its positions does."""
     _require_generic(P)
     scan = _Scan(P, compress=False)
     if scan.empty:
         return FacePoset((), frozenset())
     d = P.dim
-    inverse = scan.inverse
-    labels = np.zeros(inverse.shape, dtype=np.int64)
-    structure = ndimage.generate_binary_structure(d, 1)
-    next_label = 0
-    region_mask = {}
-    for i, m in enumerate(scan.unique_masks):
-        if m == 0:
-            continue
-        comp, count = ndimage.label(inverse == i, structure=structure)
-        where = comp > 0
-        labels[where] = comp[where] + next_label
-        for c in range(1, count + 1):
-            region_mask[next_label + c] = m
-        next_label += count
+    labels = _region_labels(scan)
     order = np.argsort(labels.reshape(-1), kind="stable")
-    flat_labels = labels.reshape(-1)[order]
-    starts = np.searchsorted(flat_labels, np.arange(1, next_label + 1))
-    ends = np.searchsorted(flat_labels, np.arange(1, next_label + 1), side="right")
-    faces = []
-    for lab in range(1, next_label + 1):
-        member_flat = order[starts[lab - 1] : ends[lab - 1]]
+    roots, starts, sizes = np.unique(
+        labels.reshape(-1)[order], return_index=True, return_counts=True
+    )
+    ranked = []
+    for root, start, size in zip(roots.tolist(), starts, sizes):
+        if root < 0:
+            continue
+        member_flat = order[start : start + size]
         members = np.stack(np.unravel_index(member_flat, labels.shape), axis=-1)
-        prof = scan.profiles[region_mask[lab]]
+        rep_idx = tuple(int(t) for t in np.unravel_index(root, labels.shape))
+        mask = scan.unique_masks[int(scan.inverse[rep_idx])]
+        prof = scan.profiles[mask]
         free = tuple(a for a in range(1, d + 1) if a not in prof.essential)
-        k = len(free)
         fixed = []
         for a in prof.essential:
             col = members[:, a - 1]
@@ -785,46 +805,32 @@ def face_poset(P: IntegralOrthotope) -> FacePoset:
             tuple(int(scan.edges[a - 1][int(row[a - 1]) // 2]) for a in free)
             for row in cell_rows
         )
-        rep_idx = members[np.lexsort(members.T[::-1])][0]
-        rep_point = scan.point_of(tuple(int(t) for t in rep_idx))
-        mask = region_mask[lab]
+        rep_point = scan.point_of(rep_idx)
         rep = PointClass(
             rep_point, OrthantSet(d, mask), prof.essential, prof.degree, prof.floral
         )
-        faces.append(Face(k, free, tuple(fixed), cells, rep))
-    faces.sort(key=lambda f: (f.dim, f.representative.point))
-    incidence = set()
-    for i, a in enumerate(faces):
-        for j, b in enumerate(faces):
-            if a.dim >= b.dim:
-                continue
-            if not set(a.free_axes) <= set(b.free_axes):
-                continue
-            b_fixed = dict(b.fixed)
-            a_fixed = dict(a.fixed)
-            if any(a_fixed[ax] != v for ax, v in b_fixed.items()):
-                continue
-            between = [ax for ax in b.free_axes if ax not in a.free_axes]
-            ok = True
-            for cell in a.cells:
-                placed = dict(zip(a.free_axes, cell))
-                hit = False
-                for choice in itertools.product(*(
-                    (a_fixed[ax] - 1, a_fixed[ax]) for ax in between
-                )):
-                    cand = tuple(
-                        placed[ax] if ax in placed else choice[between.index(ax)]
-                        for ax in b.free_axes
-                    )
-                    if cand in b.cells:
-                        hit = True
-                        break
-                if not hit:
-                    ok = False
-                    break
-            if ok:
-                incidence.add((i, j))
-    return FacePoset(tuple(faces), frozenset(incidence))
+        ranked.append((Face(len(free), free, tuple(fixed), cells, rep), root))
+    ranked.sort(key=lambda e: (e[0].dim, e[0].representative.point))
+    faces = tuple(face for face, _root in ranked)
+    # The face index of every position; the last slot maps the exterior's -1.
+    rank = np.full(labels.size + 1, -1)
+    rank[[root for _face, root in ranked]] = np.arange(len(faces))
+    face_at = rank[labels]
+    # Position p lies in the closure of position q iff on every axis
+    # p_j == q_j, or q_j is even (a slab interior) and |p_j - q_j| == 1.
+    steps = [
+        [(slice(None), slice(None))]
+        + [(slice(1, n - 1, 2), slice(1 + o, n - 1 + o, 2)) for o in (-1, 1)]
+        for n in labels.shape
+    ]
+    found = []
+    for step in itertools.islice(itertools.product(*steps), 1, None):
+        src, tgt = zip(*step)
+        a, b = face_at[src], face_at[tgt]
+        hit = (a != b) & (a >= 0) & (b >= 0)
+        found.append(np.unique(a[hit] * len(faces) + b[hit]))
+    inner, outer = np.divmod(np.unique(np.concatenate(found)), len(faces))
+    return FacePoset(faces, frozenset(zip(inner.tolist(), outer.tolist())))
 
 
 def cross_section(P: IntegralOrthotope, axes_values: Mapping) -> IntegralOrthotope:

@@ -1,0 +1,43 @@
+"""The library's runtime dependencies: what the CLI loads on start-up, and
+what ``pyproject.toml`` declares against what the source imports."""
+
+import ast
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "orthotopes"
+
+
+def test_cli_import_loads_no_scipy():
+    probe = (
+        "import sys, orthotopes.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def _third_party_imports() -> set:
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return {n for n in names if n not in sys.stdlib_module_names and n != "orthotopes"}
+
+
+def test_declared_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        declared = tomllib.load(handle)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in declared}
+    assert names == _third_party_imports()

@@ -18,6 +18,7 @@ import pytest
 
 from orthotopes import cli, lattice
 from orthotopes.arrangement import DEGENERATE, Cylinder, SetOp
+from orthotopes.genericize import random_generic
 from orthotopes.lattice import (
     ConsistencyError,
     EulerMethod,
@@ -533,6 +534,103 @@ def test_vertex_face_counts_on_random_unions():
 def test_face_poset_requires_generic(q_solid):
     with pytest.raises(NotGenericError):
         face_poset(q_solid)
+
+
+def _reference_face_poset(P):
+    """Faces and incidence built independently of the library's labeling:
+    regions are the ``networkx`` components of axis-adjacent positions with
+    one nonempty mask, and face a lies in the closure of face b when every
+    cell of a, pushed to either side of a's fixed coordinate on each axis
+    free in b only, is a cell of b (a per-cell check over all face pairs)."""
+    scan = lattice._Scan(P, compress=False)
+    d = P.dim
+    inverse = scan.inverse
+    graph = nx.Graph()
+    for idx in np.ndindex(inverse.shape):
+        if scan.unique_masks[inverse[idx]] == 0:
+            continue
+        graph.add_node(idx)
+        for j in range(d):
+            nb = idx[:j] + (idx[j] + 1,) + idx[j + 1 :]
+            if nb[j] < inverse.shape[j] and inverse[nb] == inverse[idx]:
+                graph.add_edge(idx, nb)
+    faces = []
+    for region in nx.connected_components(graph):
+        members = sorted(region)
+        mask = scan.unique_masks[inverse[members[0]]]
+        prof = scan.profiles[mask]
+        free = tuple(a for a in range(1, d + 1) if a not in prof.essential)
+        fixed = tuple(
+            (a, int(scan.edges[a - 1][(members[0][a - 1] + 1) // 2]))
+            for a in prof.essential
+        )
+        cells = frozenset(
+            tuple(int(scan.edges[a - 1][idx[a - 1] // 2]) for a in free)
+            for idx in members
+            if all(idx[a - 1] % 2 == 0 for a in free)
+        )
+        rep = lattice.PointClass(
+            scan.point_of(members[0]),
+            lattice.OrthantSet(d, mask),
+            prof.essential,
+            prof.degree,
+            prof.floral,
+        )
+        faces.append(lattice.Face(len(free), free, fixed, cells, rep))
+    faces.sort(key=lambda f: (f.dim, f.representative.point))
+    incidence = set()
+    for i, a in enumerate(faces):
+        for j, b in enumerate(faces):
+            if a.dim >= b.dim:
+                continue
+            if not set(a.free_axes) <= set(b.free_axes):
+                continue
+            b_fixed = dict(b.fixed)
+            a_fixed = dict(a.fixed)
+            if any(a_fixed[ax] != v for ax, v in b_fixed.items()):
+                continue
+            between = [ax for ax in b.free_axes if ax not in a.free_axes]
+            ok = True
+            for cell in a.cells:
+                placed = dict(zip(a.free_axes, cell))
+                hit = False
+                for choice in itertools.product(*(
+                    (a_fixed[ax] - 1, a_fixed[ax]) for ax in between
+                )):
+                    cand = tuple(
+                        placed[ax] if ax in placed else choice[between.index(ax)]
+                        for ax in b.free_axes
+                    )
+                    if cand in b.cells:
+                        hit = True
+                        break
+                if not hit:
+                    ok = False
+                    break
+            if ok:
+                incidence.add((i, j))
+    return tuple(faces), frozenset(incidence)
+
+
+def _face_poset_models():
+    yield pytest.param(unit_cube(), id="cube")
+    yield pytest.param(from_cells(2, L_CELLS), id="L")
+    yield pytest.param(from_cells(3, TORUS_CELLS), id="torus")
+    for dim, count, extent in ((1, 3, 9), (2, 4, 9), (3, 3, 7), (4, 2, 5)):
+        for seed in range(3):
+            P = random_generic(dim, count, extent, seed)
+            yield pytest.param(P, id=f"generic-d{dim}-{seed}")
+    rng = random.Random(83)
+    for dim in (2, 3):
+        yield pytest.param(_random_box_union(rng, dim, 3, 7), id=f"union-d{dim}")
+
+
+@pytest.mark.parametrize("P", list(_face_poset_models()))
+def test_face_poset_matches_networkx_regions_and_cell_incidence(P):
+    fp = face_poset(P)
+    faces, incidence = _reference_face_poset(P)
+    assert fp.faces == faces
+    assert fp.incidence == incidence
 
 
 # ---------------------------------------------------------------------------
