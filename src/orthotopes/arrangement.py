@@ -13,7 +13,9 @@ the facet, edge and cross-section operations of the cone it spans.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import Iterator, Union
 
 from .spd import (
@@ -141,11 +143,10 @@ class OrthantSet:
     def essential_axes(self) -> tuple[int, ...]:
         """Axes whose two cross-sections differ (flipping s_i can change
         membership)."""
-        return tuple(
-            i for i in range(1, self.dim + 1) if self.slice(i, 1) != self.slice(i, -1)
-        )
+        return tuple(_axis_signs(self.dim, self.mask))
 
 
+@lru_cache(maxsize=None)
 def _half_space_mask(dim: int, pos: int, positive: bool) -> int:
     # bit k is set iff bit pos of k agrees with the requested side
     width = 1 << (pos + 1)
@@ -155,6 +156,34 @@ def _half_space_mask(dim: int, pos: int, positive: bool) -> int:
     if not positive:
         mask ^= (1 << table) - 1
     return mask
+
+
+def _cofactor(mask: int, dim: int, pos: int, positive: bool) -> int:
+    """The set with coordinate pos fixed to one side, extended back over
+    the whole axis: the cylinder over the cross-section at that side."""
+    half = mask & _half_space_mask(dim, pos, positive)
+    if positive:
+        return half | (half >> (1 << pos))
+    return half | (half << (1 << pos))
+
+
+def _axis_signs(dim: int, mask: int) -> dict[int, int]:
+    """Essential axes in increasing order, each mapped to +1 when its
+    negative cofactor lies inside its positive one (the set only grows as
+    the coordinate turns positive), to -1 in the mirror case and to 0 when
+    neither holds."""
+    signs = {}
+    for pos in range(dim):
+        plus = _cofactor(mask, dim, pos, True)
+        minus = _cofactor(mask, dim, pos, False)
+        if plus != minus:
+            if not minus & ~plus:
+                signs[pos + 1] = 1
+            elif not plus & ~minus:
+                signs[pos + 1] = -1
+            else:
+                signs[pos + 1] = 0
+    return signs
 
 
 def orthants_of(x: Union[SignedSpd, Spd], dim: int | None = None) -> OrthantSet:
@@ -195,16 +224,15 @@ def orthant_counts(orthants: OrthantSet) -> tuple[int, int]:
     0 otherwise.
     """
     d = orthants.dim
-    mu_d = 0
-    tau_d = 0
     mask = orthants.mask
-    while mask:
-        low = mask & -mask
-        k = low.bit_length() - 1
-        mu_d += 1
-        tau_d += -1 if (d - k.bit_count()) % 2 else 1
-        mask ^= low
-    return mu_d, tau_d
+    even = _even_orthants(d)
+    return mask.bit_count(), (mask & even).bit_count() - (mask & ~even).bit_count()
+
+
+@lru_cache(maxsize=None)
+def _even_orthants(dim: int) -> int:
+    """Orthant indices with an even number of negative coordinates."""
+    return sum(1 << k for k in range(1 << dim) if (dim - k.bit_count()) % 2 == 0)
 
 
 class SetOp(enum.Enum):
@@ -253,51 +281,104 @@ def _series_join(parts: list[SignedSpd]) -> SignedSpd:
     return SignedSpd(shape, neg)
 
 
-def _factor_once(members: frozenset, positions: tuple[int, ...]):
-    """Split a set of 0/1 tuples as a Cartesian product across a bipartition
-    of coordinate slots; yields (slots_a, proj_a, slots_b, proj_b)."""
-    k = len(positions)
-    slots = range(k)
-    # the first slot anchors side a; a full side-a pick would leave b empty
-    for pick in range((1 << (k - 1)) - 1):
-        a = [0] + [j for j in slots if j and (pick >> (j - 1)) & 1]
-        b = [j for j in slots if j and not (pick >> (j - 1)) & 1]
-        proj_a = frozenset(tuple(t[j] for j in a) for t in members)
-        proj_b = frozenset(tuple(t[j] for j in b) for t in members)
-        if len(proj_a) * len(proj_b) == len(members):
-            yield (tuple(positions[j] for j in a), proj_a, tuple(positions[j] for j in b), proj_b)
+def _components(adjacent: list[int]) -> list[list[int]]:
+    """Connected components of the graph on 0..n-1 in which bit j of
+    ``adjacent[i]`` joins i and j, each listed in increasing order."""
+    left = (1 << len(adjacent)) - 1
+    out = []
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adjacent[low.bit_length() - 1] & left & ~comp
+            comp |= new
+            frontier |= new
+        left &= ~comp
+        out.append([i for i in range(len(adjacent)) if (comp >> i) & 1])
+    return out
 
 
-def _recognize_core(members: frozenset, positions: tuple[int, ...]) -> SignedSpd | None:
-    """Invert the evaluation map on a set with every listed axis essential;
-    None when the set is not read-once."""
-    if len(positions) == 1:
-        ((bit,),) = members
-        leaf = Leaf(positions[0])
-        return SignedSpd(leaf, frozenset() if bit else frozenset((positions[0],)))
-    for slots_a, proj_a, slots_b, proj_b in _factor_once(members, positions):
-        left = _recognize_core(proj_a, slots_a)
-        if left is None:
-            continue
-        right = _recognize_core(proj_b, slots_b)
-        if right is not None:
-            return _series_join([left, right])
-    complement = frozenset(
-        t for t in _all_tuples(len(positions)) if t not in members
-    )
-    for slots_a, proj_a, slots_b, proj_b in _factor_once(complement, positions):
-        left = _recognize_core(proj_a, slots_a)
-        if left is None:
-            continue
-        right = _recognize_core(proj_b, slots_b)
-        if right is not None:
-            return dual(_series_join([left, right]))
-    return None
+def _read_once(mask: int, dim: int, block: list[int], positive: dict[int, bool]):
+    """Shape of the read-once formula over the literals at the 0-based
+    positions ``block`` that evaluates to ``mask``, or None when there is
+    none.  The literal at position i is the half-space on side
+    ``positive[i]``; the mask must grow with every literal and depend on
+    exactly the positions of ``block``.
+
+    Positions i and j share a prime implicant iff some member has both
+    literals critical (falsifying either one leaves the set).  A read-once
+    formula's blocks are the components of that co-occurrence graph
+    (a union) or of its complement (an intersection); both connected means
+    the mask is not read-once (Gurvich 1977; Golumbic, Mintz and Rotics
+    2006).  Unate masks that pass the graph test but are not read-once
+    fail the recomposition check at some level.
+    """
+    if len(block) == 1:
+        return Leaf(block[0] + 1)
+    crit = [
+        mask
+        & _half_space_mask(dim, i, positive[i])
+        & ~_cofactor(mask, dim, i, not positive[i])
+        for i in block
+    ]
+    n = len(block)
+    meets = [
+        sum(1 << j for j in range(n) if j != i and crit[i] & crit[j]) for i in range(n)
+    ]
+    parts = _components(meets)
+    if len(parts) > 1:
+        kind, holds = Parallel, False
+    else:
+        everyone = (1 << n) - 1
+        parts = _components([everyone ^ meets[i] ^ (1 << i) for i in range(n)])
+        if len(parts) == 1:
+            return None
+        kind, holds = Series, True
+    # restrict to each part by fixing the other parts' literals to the
+    # value that leaves the part alone: false under a union, true under an
+    # intersection
+    restricted = []
+    for part in parts:
+        sub = mask
+        for k in range(n):
+            if k not in part:
+                i = block[k]
+                sub = _cofactor(sub, dim, i, positive[i] == holds)
+        restricted.append(sub)
+    if reduce(operator.or_ if kind is Parallel else operator.and_, restricted) != mask:
+        return None
+    kids = []
+    for part, sub in zip(parts, restricted):
+        kid = _read_once(sub, dim, [block[k] for k in part], positive)
+        if kid is None:
+            return None
+        kids.append(kid)
+    return kind(tuple(kids))
 
 
-def _all_tuples(k: int):
-    for bits in range(1 << k):
-        yield tuple((bits >> j) & 1 for j in range(k))
+def _recognize(orthants: OrthantSet):
+    """``recognize``'s result together with the essential axes."""
+    if orthants.is_empty:
+        return EMPTY, ()
+    if orthants.is_full:
+        return FULL, ()
+    d, mask = orthants.dim, orthants.mask
+    signs = _axis_signs(d, mask)
+    essential = tuple(signs)
+    if 0 in signs.values():
+        return DEGENERATE, essential
+    positive = {a - 1: s > 0 for a, s in signs.items()}
+    shape = _read_once(mask, d, [a - 1 for a in essential], positive)
+    if shape is None:
+        return DEGENERATE, essential
+    neg = frozenset(a for a, s in signs.items() if s < 0)
+    diagram = SignedSpd(normalize(shape), neg)
+    assert orthants_of(diagram, d) == orthants
+    free = tuple(i for i in range(1, d + 1) if i not in signs)
+    if free:
+        return Cylinder(free, diagram), essential
+    return diagram, essential
 
 
 def recognize(orthants: OrthantSet):
@@ -307,25 +388,12 @@ def recognize(orthants: OrthantSet):
     axis essential, a Cylinder over the inessential axes when the core is
     floral, the FULL or EMPTY marker for the two improper sets, and the
     DEGENERATE marker otherwise.
+
+    A floral set is unate in every essential axis, which fixes each
+    literal's sign; the diagram is then the read-once decomposition of the
+    mask (see ``_read_once``).
     """
-    if orthants.is_empty:
-        return EMPTY
-    if orthants.is_full:
-        return FULL
-    essential = orthants.essential_axes()
-    free = tuple(i for i in range(1, orthants.dim + 1) if i not in essential)
-    slots = [a - 1 for a in essential]
-    members = frozenset(
-        tuple(1 if s > 0 else 0 for j, s in enumerate(signs) if j in slots)
-        for signs in orthants.members()
-    )
-    diagram = _recognize_core(members, tuple(essential))
-    if diagram is None:
-        return DEGENERATE
-    assert orthants_of(diagram, orthants.dim) == orthants
-    if free:
-        return Cylinder(free, diagram)
-    return diagram
+    return _recognize(orthants)[0]
 
 
 # ---------------------------------------------------------------------------

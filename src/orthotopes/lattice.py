@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .arrangement import DEGENERATE, OrthantSet, SetOp, orthant_counts, recognize
+from .arrangement import DEGENERATE, OrthantSet, SetOp, _recognize, orthant_counts
 from .spd import SignedSpd, bouquet, canonical_key
 
 __all__ = [
@@ -182,8 +182,9 @@ class IntegralOrthotope:
     millions of cells while all invariants are computable from the boxes.
     The compressed classification scan is built on first use and cached,
     so every invariant of one instance shares a single scan.  Instances
-    are immutable; equality and hash compare (dim, scale, cell set) and
-    ignore the cached scan.
+    are immutable; equality and hash compare dim, scale and the point set,
+    through its coarsest slab occupancy, so they neither materialize the
+    cells nor touch the cached scan.
     """
 
     __slots__ = ("dim", "scale", "_boxes", "_cells", "_scan")
@@ -255,11 +256,11 @@ class IntegralOrthotope:
         return (
             self.dim == other.dim
             and self.scale == other.scale
-            and self.cells == other.cells
+            and _canonical_occupancy(self) == _canonical_occupancy(other)
         )
 
     def __hash__(self):
-        return hash((self.dim, self.scale, self.cells))
+        return hash((self.dim, self.scale, _canonical_occupancy(self)))
 
     def __repr__(self):
         if self._cells is not None:
@@ -337,14 +338,9 @@ class _MaskProfile:
 @lru_cache(maxsize=1 << 20)
 def _mask_profile(dim: int, mask: int) -> _MaskProfile:
     oset = OrthantSet(dim, mask)
-    floral = recognize(oset)
+    floral, essential = _recognize(oset)
     degenerate = floral is DEGENERATE
-    if mask == 0:
-        essential: tuple[int, ...] = ()
-        degree = None
-    else:
-        essential = tuple(sorted(oset.essential_axes()))
-        degree = dim - len(essential)
+    degree = None if mask == 0 else dim - len(essential)
     mu_d, tau_d = orthant_counts(oset)
     is_vertex = degree == 0 and not degenerate
     class_key = None
@@ -374,6 +370,50 @@ def _mask_dtype(dim: int):
 # the classification scan
 
 
+def _occupancy(P: IntegralOrthotope, compress: bool = True):
+    """Slab decomposition of a nonempty ``P``: per axis the edge
+    coordinates (see ``_Scan``), and which slabs the boxes occupy.
+    ``compress=False`` puts an edge at every integer instead of only at
+    box coordinates."""
+    boxes = P.boxes
+    d = P.dim
+    edges = []
+    for j in range(d):
+        coords = {b[0][j] for b in boxes} | {b[1][j] for b in boxes}
+        if compress:
+            base = sorted(coords)
+        else:
+            base = list(range(min(coords), max(coords) + 1))
+        edges.append(np.array([base[0] - 1] + base + [base[-1] + 1], dtype=np.int64))
+    occ = np.zeros(tuple(len(e) - 1 for e in edges), dtype=bool)
+    for lo, hi in boxes:
+        sel = tuple(
+            slice(
+                int(np.searchsorted(edges[j], lo[j])),
+                int(np.searchsorted(edges[j], hi[j])),
+            )
+            for j in range(d)
+        )
+        occ[sel] = True
+    return edges, occ
+
+
+def _canonical_occupancy(P: IntegralOrthotope):
+    """The compressed occupancy with every slab equal to its neighbour
+    merged away, as (edges, occupancy bytes); ``None`` when empty.  What is
+    left has an edge only where the point set changes, so two orthotopes of
+    the same dim and scale have the same cells iff these agree."""
+    if P.is_empty:
+        return None
+    edges, occ = _occupancy(P)
+    for j in range(P.dim):
+        others = tuple(k for k in range(P.dim) if k != j)
+        changed = np.diff(occ, axis=j).any(axis=others)
+        occ = occ.compress(np.concatenate(([True], changed)), axis=j)
+        edges[j] = edges[j][np.concatenate(([True], changed, [True]))]
+    return tuple(tuple(e.tolist()) for e in edges), occ.tobytes()
+
+
 class _Scan:
     """Tangent-cone classification over the doubled grid of a compressed
     cell decomposition.
@@ -393,28 +433,7 @@ class _Scan:
         self.empty = P.is_empty
         if self.empty:
             return
-        boxes = P.boxes
-        d = P.dim
-        self.edges = []
-        for j in range(d):
-            coords = {b[0][j] for b in boxes} | {b[1][j] for b in boxes}
-            if compress:
-                base = sorted(coords)
-            else:
-                base = list(range(min(coords), max(coords) + 1))
-            self.edges.append(
-                np.array([base[0] - 1] + base + [base[-1] + 1], dtype=np.int64)
-            )
-        occ = np.zeros(tuple(len(e) - 1 for e in self.edges), dtype=bool)
-        for lo, hi in boxes:
-            sel = tuple(
-                slice(
-                    int(np.searchsorted(self.edges[j], lo[j])),
-                    int(np.searchsorted(self.edges[j], hi[j])),
-                )
-                for j in range(d)
-            )
-            occ[sel] = True
+        self.edges, occ = _occupancy(P, compress)
         self.occ = occ
         masks = self._build_masks(occ)
         flat = masks.reshape(-1)

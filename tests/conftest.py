@@ -1,4 +1,8 @@
-"""Shared hypothesis strategies for random diagrams and polytopes."""
+"""Shared hypothesis strategies for random diagrams and polytopes, and the
+environment for tests that start a child interpreter."""
+
+import os
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -34,3 +38,11 @@ def signed_spds(draw, min_axes: int = 1, max_axes: int = 7):
     shape = draw(spd_shapes(min_axes=min_axes, max_axes=max_axes))
     neg = draw(st.sets(st.sampled_from(sorted(axes(shape)))))
     return SignedSpd(shape, frozenset(neg))
+
+
+def child_env() -> dict:
+    """Environment in which a child interpreter imports the package from
+    this checkout's ``src``, as the test process does, installed or not."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}

@@ -1,6 +1,7 @@
 """Orthant sets, recognition, and the face operations of floral vertices."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from orthotopes.arrangement import (
     FloralVertex,
     OrthantSet,
     SetOp,
+    _series_join,
     combine,
     edge_cross_section,
     edge_direction,
@@ -26,12 +28,17 @@ from orthotopes.spd import (
     EMPTY,
     FULL,
     TRIVIAL,
+    Leaf,
+    Parallel,
+    Series,
     SignedSpd,
     axes,
+    dual,
     edge_count,
     enumerate_shapes,
     format_expr,
     mu,
+    normalize,
     parse_expr,
     relabel,
     tau,
@@ -92,6 +99,100 @@ def _all_signed(d: int):
         for bits in itertools.product((False, True), repeat=d):
             neg = frozenset(a for a, b in zip(range(1, d + 1), bits) if b)
             yield SignedSpd(shape, neg)
+
+
+def _essential_by_slices(s: OrthantSet) -> tuple[int, ...]:
+    """Definition of the essential axes: those whose two cross-sections
+    differ."""
+    return tuple(i for i in range(1, s.dim + 1) if s.slice(i, 1) != s.slice(i, -1))
+
+
+# The bipartition search that recognized floral sets before read-once
+# decomposition on the mask replaced it, kept verbatim as an oracle.
+
+
+def _factor_once(members: frozenset, positions: tuple[int, ...]):
+    """Split a set of 0/1 tuples as a Cartesian product across a bipartition
+    of coordinate slots; yields (slots_a, proj_a, slots_b, proj_b)."""
+    k = len(positions)
+    slots = range(k)
+    # the first slot anchors side a; a full side-a pick would leave b empty
+    for pick in range((1 << (k - 1)) - 1):
+        a = [0] + [j for j in slots if j and (pick >> (j - 1)) & 1]
+        b = [j for j in slots if j and not (pick >> (j - 1)) & 1]
+        proj_a = frozenset(tuple(t[j] for j in a) for t in members)
+        proj_b = frozenset(tuple(t[j] for j in b) for t in members)
+        if len(proj_a) * len(proj_b) == len(members):
+            yield (tuple(positions[j] for j in a), proj_a, tuple(positions[j] for j in b), proj_b)
+
+
+def _recognize_core(members: frozenset, positions: tuple[int, ...]) -> SignedSpd | None:
+    """Invert the evaluation map on a set with every listed axis essential;
+    None when the set is not read-once."""
+    if len(positions) == 1:
+        ((bit,),) = members
+        leaf = Leaf(positions[0])
+        return SignedSpd(leaf, frozenset() if bit else frozenset((positions[0],)))
+    for slots_a, proj_a, slots_b, proj_b in _factor_once(members, positions):
+        left = _recognize_core(proj_a, slots_a)
+        if left is None:
+            continue
+        right = _recognize_core(proj_b, slots_b)
+        if right is not None:
+            return _series_join([left, right])
+    complement = frozenset(
+        t for t in _all_tuples(len(positions)) if t not in members
+    )
+    for slots_a, proj_a, slots_b, proj_b in _factor_once(complement, positions):
+        left = _recognize_core(proj_a, slots_a)
+        if left is None:
+            continue
+        right = _recognize_core(proj_b, slots_b)
+        if right is not None:
+            return dual(_series_join([left, right]))
+    return None
+
+
+def _all_tuples(k: int):
+    for bits in range(1 << k):
+        yield tuple((bits >> j) & 1 for j in range(k))
+
+
+def _recognize_by_bipartition(orthants: OrthantSet):
+    """``recognize`` as the bipartition search computed it."""
+    if orthants.is_empty:
+        return EMPTY
+    if orthants.is_full:
+        return FULL
+    essential = _essential_by_slices(orthants)
+    free = tuple(i for i in range(1, orthants.dim + 1) if i not in essential)
+    slots = [a - 1 for a in essential]
+    members = frozenset(
+        tuple(1 if s > 0 else 0 for j, s in enumerate(signs) if j in slots)
+        for signs in orthants.members()
+    )
+    diagram = _recognize_core(members, tuple(essential))
+    if diagram is None:
+        return DEGENERATE
+    if free:
+        return Cylinder(free, diagram)
+    return diagram
+
+
+def _random_signed(rng: random.Random, labels: list[int]) -> SignedSpd:
+    """Random normal-form signed diagram on exactly the given labels."""
+
+    def build(axs, forbid):
+        if len(axs) == 1:
+            return Leaf(axs[0])
+        kind = {Series: Parallel, Parallel: Series}.get(forbid) or rng.choice((Series, Parallel))
+        cuts = sorted(rng.sample(range(1, len(axs)), rng.randint(1, len(axs) - 1)))
+        bounds = [0] + cuts + [len(axs)]
+        return kind(tuple(build(axs[a:b], kind) for a, b in zip(bounds, bounds[1:])))
+
+    labels = rng.sample(labels, len(labels))
+    neg = frozenset(a for a in labels if rng.random() < 0.5)
+    return SignedSpd(normalize(build(labels, None)), neg)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +302,91 @@ def test_recognize_round_trip_exhaustive_small():
     for d in range(1, 5):
         for signed in _all_signed(d):
             assert recognize(orthants_of(signed, d)) == signed
+
+
+def _floral_table(d: int) -> dict:
+    """Every proper floral mask in R^d mapped to its recognition result,
+    from every signed shape on every nonempty subset of the axes."""
+    table: dict = {}
+    for k in range(1, d + 1):
+        shapes = enumerate_shapes(k)
+        for support in itertools.combinations(range(1, d + 1), k):
+            free = tuple(a for a in range(1, d + 1) if a not in support)
+            for shape in shapes:
+                for image in itertools.permutations(support):
+                    labeled = relabel(shape, dict(zip(range(1, k + 1), image)))
+                    for bits in itertools.product((False, True), repeat=k):
+                        neg = frozenset(a for a, b in zip(support, bits) if b)
+                        signed = SignedSpd(labeled, neg)
+                        want = Cylinder(free, signed) if free else signed
+                        mask = orthants_of(signed, d).mask
+                        # one normal form per mask
+                        assert table.setdefault(mask, want) == want
+    return table
+
+
+def test_recognize_every_mask_up_to_dimension_four():
+    for d in range(5):
+        table = _floral_table(d)
+        full = (1 << (1 << d)) - 1
+        for mask in range(full + 1):
+            if mask == 0:
+                want = EMPTY
+            elif mask == full:
+                want = FULL
+            else:
+                want = table.get(mask, DEGENERATE)
+            assert recognize(OrthantSet(d, mask)) == want, (d, mask)
+
+
+def _oracle_masks(rng: random.Random, d: int) -> list[int]:
+    """Masks in R^d for the oracle comparison: floral ones (some with a
+    free axis), unions and intersections of two floral masks with the same
+    literal signs, unate sums of products, floral masks with one orthant
+    toggled, and a uniform random mask."""
+    out = []
+    for _ in range(10):
+        labels = list(range(1, d + 1))
+        if rng.random() < 0.3:
+            labels.remove(rng.choice(labels))
+        out.append(orthants_of(_random_signed(rng, labels), d).mask)
+    for _ in range(10):
+        a = _random_signed(rng, list(range(1, d + 1)))
+        b = _random_signed(rng, list(range(1, d + 1)))
+        b = SignedSpd(b.shape, a.neg)
+        pair = orthants_of(a, d).mask, orthants_of(b, d).mask
+        out.append(pair[0] | pair[1] if rng.random() < 0.5 else pair[0] & pair[1])
+    for _ in range(6):
+        # a union of three conjunctions of literals with fixed signs, or its
+        # complement: unate, and read-once only by accident
+        neg = frozenset(a for a in range(1, d + 1) if rng.random() < 0.5)
+        mask = 0
+        for _ in range(3):
+            term = rng.sample(range(1, d + 1), rng.randint(2, d - 1))
+            shape = normalize(Series(tuple(Leaf(a) for a in term)))
+            mask |= orthants_of(SignedSpd(shape, neg & frozenset(term)), d).mask
+        out.append(mask ^ ((1 << (1 << d)) - 1) if rng.random() < 0.5 else mask)
+    for _ in range(3):
+        floral = orthants_of(_random_signed(rng, list(range(1, d + 1))), d).mask
+        out.append(floral ^ (1 << rng.randrange(1 << d)))
+    out.append(rng.getrandbits(1 << d))
+    return out
+
+
+def test_recognize_matches_bipartition_search():
+    rng = random.Random(20221)
+    for d in range(5, 9):
+        for mask in _oracle_masks(rng, d):
+            s = OrthantSet(d, mask)
+            assert recognize(s) == _recognize_by_bipartition(s), (d, mask)
+
+
+def test_essential_axes_match_slice_definition():
+    rng = random.Random(7)
+    cases = [OrthantSet(d, m) for d in range(4) for m in range(1 << (1 << d))]
+    cases += [OrthantSet(d, m) for d in range(4, 9) for m in _oracle_masks(rng, d)]
+    for s in cases:
+        assert s.essential_axes() == _essential_by_slices(s), (s.dim, s.mask)
 
 
 @settings(max_examples=100)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from orthotopes.arrangement import facet
 from orthotopes.cli import (
     EXIT_INCONSISTENT,
@@ -346,6 +347,7 @@ def test_module_entry_point_round_trip(tmp_path):
         [sys.executable, "-m", "orthotopes.cli", "analyze", str(FIXTURE)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["volume"] == "28"

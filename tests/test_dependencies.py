@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "orthotopes"
 
@@ -19,7 +21,11 @@ def test_cli_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=child_env(),
     )
     assert result.stdout.strip() == "[]"
 

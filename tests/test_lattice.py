@@ -871,3 +871,19 @@ def test_cached_scan_leaves_equality_and_hash_alone():
     assert P._scan is not None and Q._scan is None and R._scan is None
     assert P == Q and Q == P and P == R
     assert hash(P) == hash(Q) == hash(R)
+
+
+def test_equality_and_hash_need_no_cells():
+    # [0,200)^3 holds 8 million cells, more than P.cells will materialize
+    one = from_boxes(3, [((0, 0, 0), (200, 200, 200))])
+    two = from_boxes(3, [((0, 0, 0), (120, 200, 200)), ((80, 0, 0), (200, 200, 200))])
+    short = from_boxes(3, [((0, 0, 0), (200, 200, 199))])
+    assert one == two and hash(one) == hash(two)
+    assert one != short
+    assert one._scan is None and two._scan is None and short._scan is None
+    with pytest.raises(ConsistencyError):
+        one.cells
+    joined = from_boxes(1, [((0,), (2,)), ((2,), (5,))])
+    assert joined == from_boxes(1, [((0,), (5,))]) == from_cells(1, [(c,) for c in range(5)])
+    assert joined != from_boxes(1, [((0,), (2,)), ((3,), (5,))])
+    assert joined != from_boxes(1, [((0,), (5,))], scale=2)
