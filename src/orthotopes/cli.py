@@ -8,7 +8,8 @@ vertex census, and skeleton summary.  All output is byte-stable: fixed key
 order, fixed indentation, one trailing newline.
 
 Exit codes: 0 success, 2 malformed input, 3 input not generic where a
-formula requires it, 4 internal consistency failure.
+formula requires it, 4 internal consistency failure, 5 model too large to
+scan within the memory budget.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .lattice import (
     EulerMethod,
     IntegralOrthotope,
     NotGenericError,
+    ScanTooLargeError,
     VolumeMethod,
     check_generic,
     cross_section,
@@ -50,6 +52,7 @@ __all__ = [
 EXIT_MALFORMED = 2
 EXIT_NOT_GENERIC = 3
 EXIT_INCONSISTENT = 4
+EXIT_TOO_LARGE = 5
 
 # rendering constants: fixed so that golden SVG files stay stable
 _UNIT_PX = 32
@@ -539,6 +542,9 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except ScanTooLargeError as exc:
+        print(f"too large: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ __all__ = [
     "IntegralOrthotope",
     "NotGenericError",
     "PointClass",
+    "ScanTooLargeError",
     "SkeletonGraph",
     "VertexCensus",
     "VolumeMethod",
@@ -62,6 +63,18 @@ __all__ = [
 # that should be working with boxes instead.
 _CELL_LIMIT = 5_000_000
 
+# A scan whose estimated peak (``_scan_bytes``) passes this many bytes is
+# refused with ``ScanTooLargeError`` before anything is allocated.
+_SCAN_BYTE_LIMIT = 4 << 30
+
+# The mu-sum volume gathers per-position values for at most about this
+# many positions at a time.
+_VOLUME_BLOCK = 1 << 18
+
+# An axis pass with more than this many possible (hi, lo) code pairs
+# deduplicates them with ``np.unique`` instead of a dense presence table.
+_PAIR_TABLE_LIMIT = 1 << 24
+
 
 class NotGenericError(ValueError):
     """Raised when an operation that requires genericity meets a degenerate
@@ -75,6 +88,20 @@ class NotGenericError(ValueError):
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed.  This signals a bug in the library,
     not a problem with the input."""
+
+
+class ScanTooLargeError(MemoryError):
+    """Raised before a classification scan allocates its doubled grid when
+    the estimated peak exceeds the scan's memory budget.  ``positions`` is
+    the size of the doubled grid and ``estimate`` the peak in bytes."""
+
+    def __init__(self, positions: int, estimate: int):
+        self.positions = positions
+        self.estimate = estimate
+        super().__init__(
+            f"scan of {positions} positions needs about {estimate} bytes, "
+            f"over the budget of {_SCAN_BYTE_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -354,25 +381,12 @@ def _mask_profile(dim: int, mask: int) -> _MaskProfile:
     )
 
 
-def _mask_dtype(dim: int):
-    if dim <= 3:
-        return np.uint8
-    if dim <= 4:
-        return np.uint16
-    if dim <= 5:
-        return np.uint32
-    if dim <= 6:
-        return np.uint64
-    return object
-
-
 # ---------------------------------------------------------------------------
 # the classification scan
 
 
-def _occupancy(P: IntegralOrthotope, compress: bool = True):
-    """Slab decomposition of a nonempty ``P``: per axis the edge
-    coordinates (see ``_Scan``), and which slabs the boxes occupy.
+def _slab_edges(P: IntegralOrthotope, compress: bool = True) -> list:
+    """Per axis the edge coordinates of a nonempty ``P`` (see ``_Scan``).
     ``compress=False`` puts an edge at every integer instead of only at
     box coordinates."""
     boxes = P.boxes
@@ -385,8 +399,14 @@ def _occupancy(P: IntegralOrthotope, compress: bool = True):
         else:
             base = list(range(min(coords), max(coords) + 1))
         edges.append(np.array([base[0] - 1] + base + [base[-1] + 1], dtype=np.int64))
+    return edges
+
+
+def _occupancy(P: IntegralOrthotope, edges) -> np.ndarray:
+    """Which slabs between the ``edges`` the boxes of ``P`` occupy."""
+    d = P.dim
     occ = np.zeros(tuple(len(e) - 1 for e in edges), dtype=bool)
-    for lo, hi in boxes:
+    for lo, hi in P.boxes:
         sel = tuple(
             slice(
                 int(np.searchsorted(edges[j], lo[j])),
@@ -395,7 +415,7 @@ def _occupancy(P: IntegralOrthotope, compress: bool = True):
             for j in range(d)
         )
         occ[sel] = True
-    return edges, occ
+    return occ
 
 
 def _canonical_occupancy(P: IntegralOrthotope):
@@ -405,13 +425,80 @@ def _canonical_occupancy(P: IntegralOrthotope):
     the same dim and scale have the same cells iff these agree."""
     if P.is_empty:
         return None
-    edges, occ = _occupancy(P)
+    edges = _slab_edges(P)
+    occ = _occupancy(P, edges)
     for j in range(P.dim):
         others = tuple(k for k in range(P.dim) if k != j)
         changed = np.diff(occ, axis=j).any(axis=others)
         occ = occ.compress(np.concatenate(([True], changed)), axis=j)
         edges[j] = edges[j][np.concatenate(([True], changed, [True]))]
     return tuple(tuple(e.tolist()) for e in edges), occ.tobytes()
+
+
+def _scan_bytes(shape: tuple) -> int:
+    """Estimated peak bytes of building a scan over a doubled grid of this
+    shape with 2-byte codes.  The peak is the last axis pass: beside the
+    1-byte slab occupancy it holds the previous pass's codes, the new
+    codes, and for each edge position a 4-byte pair code and a 2-byte
+    gathered code (see ``_compose_axis``)."""
+    positions = math.prod(shape)
+    previous = positions // shape[-1] * ((shape[-1] + 1) // 2)
+    edges = positions - previous
+    occupancy = math.prod((n + 1) // 2 for n in shape)
+    return occupancy + 2 * previous + 2 * positions + 6 * edges
+
+
+def _compose_axis(codes: np.ndarray, table: list, j: int):
+    """One axis pass of the mask build, on codes into ``table``, the masks
+    seen so far.  Entry codes index masks in which bit s < 2^j is the
+    occupancy of the neighbouring cell on the hi side of axis i when bit i
+    of s is set and on the lo side otherwise.  The pass doubles axis j into
+    positions.  A position's mask is the mask of its hi neighbour shifted
+    up by 2^j over that of its lo neighbour, so it is fixed by the pair
+    code hi * K + lo of the two neighbour codes, K = len(table).
+
+    The masks are hash-consed as in the unique table of reduced ordered
+    BDDs (Bryant, IEEE Trans. Computers, 1986): every distinct pair gets
+    one code, through a dense presence table of the K^2 pairs, so no sort
+    is needed.  A slab interior has the same slab on both sides, so pair
+    (c, c) keeps code c; the pairs first seen on edges get codes K, K+1,
+    ... in pair order.  Past ``_PAIR_TABLE_LIMIT`` pairs, ``np.unique``
+    finds the pairs instead of the presence table."""
+    k = len(table)
+    head = (slice(None),) * j
+    pair = codes[head + (slice(1, None),)].astype(
+        np.int32 if k * k <= np.iinfo(np.int32).max else np.int64
+    )
+    pair *= k
+    pair += codes[head + (slice(None, -1),)]
+    dense = k * k <= _PAIR_TABLE_LIMIT
+    if dense:
+        present = np.zeros(k * k, dtype=bool)
+        present[pair] = True
+        used = np.flatnonzero(present)
+    else:
+        used, inverse = np.unique(pair.reshape(-1), return_inverse=True)
+    same = used % (k + 1) == 0
+    fresh = used[~same]
+    dtype = np.int16 if k + len(fresh) <= np.iinfo(np.int16).max else np.int32
+    code = np.empty(len(used), dtype=dtype)
+    code[same] = used[same] // (k + 1)
+    code[~same] = np.arange(k, k + len(fresh))
+    shape = list(codes.shape)
+    shape[j] = 2 * shape[j] - 1
+    out = np.empty(shape, dtype=dtype)
+    out[head + (slice(0, None, 2),)] = codes
+    if dense:
+        rank = np.zeros(k * k, dtype=dtype)
+        rank[used] = code
+        out[head + (slice(1, None, 2),)] = rank[pair]
+    else:
+        out[head + (slice(1, None, 2),)] = code[inverse].reshape(pair.shape)
+    shift = 1 << j
+    table = [(m << shift) | m for m in table] + [
+        (table[p // k] << shift) | table[p % k] for p in fresh.tolist()
+    ]
+    return out, table
 
 
 class _Scan:
@@ -424,8 +511,10 @@ class _Scan:
     an axis are indexed by r = 0 .. 2*(len(edges)-1) - 2; even r is the
     interior of slab r//2 and odd r is the edge shared by slabs r//2 and
     r//2 + 1.  Every position gets the bit set of occupied orthants around
-    the corresponding point; the scan keeps only its index ``inverse``
-    into ``unique_masks`` and the ``profiles`` of those masks."""
+    the corresponding point; the scan keeps only its code ``inverse`` into
+    ``unique_masks`` and the ``profiles`` of those masks.  The codes are
+    composed one axis pass at a time (see ``_compose_axis``), so the masks
+    themselves are never stored per position."""
 
     def __init__(self, P: IntegralOrthotope, compress: bool = True):
         self.dim = P.dim
@@ -433,42 +522,18 @@ class _Scan:
         self.empty = P.is_empty
         if self.empty:
             return
-        self.edges, occ = _occupancy(P, compress)
-        self.occ = occ
-        masks = self._build_masks(occ)
-        flat = masks.reshape(-1)
-        if flat.dtype == object:
-            seen: dict[int, int] = {}
-            inverse = np.empty(flat.shape[0], dtype=np.int64)
-            uniq_list: list[int] = []
-            for i, v in enumerate(flat.tolist()):
-                t = seen.get(v)
-                if t is None:
-                    t = seen[v] = len(uniq_list)
-                    uniq_list.append(int(v))
-                inverse[i] = t
-            self.unique_masks = uniq_list
-        else:
-            uniq, inverse = np.unique(flat, return_inverse=True)
-            self.unique_masks = [int(u) for u in uniq]
-        self.inverse = inverse.reshape(masks.shape)
-        self.profiles = {m: _mask_profile(self.dim, m) for m in self.unique_masks}
-
-    def _build_masks(self, occ):
-        """Orthant masks of every position, one pass per axis.  After the
-        passes for axes 0 .. j-1, bit s < 2^j of an entry is the occupancy
-        of the neighbouring cell on the hi side of axis i when bit i of s
-        is set and on the lo side otherwise.  The pass for axis j doubles
-        that axis into positions and shifts the bits taken from the hi-side
-        neighbour up by 2^j."""
-        masks = occ.astype(_mask_dtype(self.dim))
+        self.edges = _slab_edges(P, compress)
+        shape = tuple(2 * len(e) - 3 for e in self.edges)
+        estimate = _scan_bytes(shape)
+        if estimate > _SCAN_BYTE_LIMIT:
+            raise ScanTooLargeError(math.prod(shape), estimate)
+        self.occ = _occupancy(P, self.edges)
+        codes, table = self.occ.view(np.int8), [0, 1]
         for j in range(self.dim):
-            r = np.arange(2 * masks.shape[j] - 1)
-            lo = np.take(masks, r // 2, axis=j)
-            masks = np.take(masks, (r + 1) // 2, axis=j)
-            masks <<= np.asarray(1 << j, dtype=masks.dtype)
-            masks |= lo
-        return masks
+            codes, table = _compose_axis(codes, table, j)
+        self.inverse = codes
+        self.unique_masks = table
+        self.profiles = {m: _mask_profile(self.dim, m) for m in table}
 
     # position helpers ------------------------------------------------
 
@@ -513,27 +578,36 @@ class _Scan:
         idx = np.unravel_index(flat, self.inverse.shape)
         return self.point_of(idx)
 
-    def vertex_entries(self):
-        """(point, mask, profile) triples for all degree-0 points, in
-        lexicographic point order.  Degenerate degree-0 points are included
-        so callers can report them."""
+    @cached_property
+    def vertex_positions(self) -> np.ndarray:
+        """Doubled-grid indices of all degree-0 positions, one row each, in
+        lexicographic order.  Degree-0 points lie on edges in every axis,
+        so only the all-odd positions are searched."""
         if self.empty:
-            return []
-        sub = self.inverse[(slice(1, None, 2),) * self.dim]
+            return np.empty((0, self.dim), dtype=np.intp)
         keep = [
             i
             for i, m in enumerate(self.unique_masks)
             if self.profiles[m].degree == 0
         ]
-        out = []
-        if not keep:
-            return out
-        hit = np.isin(sub, keep)
-        for idx in np.argwhere(hit):
-            mask = self.unique_masks[int(sub[tuple(idx)])]
-            point = tuple(int(self.edges[j][int(t) + 1]) for j, t in enumerate(idx))
-            out.append((point, mask, self.profiles[mask]))
-        return out
+        sub = self.inverse[(slice(1, None, 2),) * self.dim]
+        return 2 * np.argwhere(np.isin(sub, keep)) + 1
+
+    @cached_property
+    def vertex_entries(self) -> list:
+        """(point, mask, profile) triples for all degree-0 points, in the
+        order of ``vertex_positions``.  Degenerate degree-0 points are
+        included so callers can report them."""
+        pos = self.vertex_positions
+        if not len(pos):
+            return []
+        codes = self.inverse[tuple(pos.T)].tolist()
+        coords = [self.edges[j][(pos[:, j] + 1) // 2].tolist() for j in range(self.dim)]
+        masks = [self.unique_masks[c] for c in codes]
+        return [
+            (point, mask, self.profiles[mask])
+            for point, mask in zip(zip(*coords), masks)
+        ]
 
 
 def _scan_for(P: IntegralOrthotope) -> _Scan:
@@ -609,7 +683,7 @@ def vertices(P: IntegralOrthotope) -> list:
     if scan.empty:
         return out
     full_axes = tuple(range(1, P.dim + 1))
-    for point, mask, prof in scan.vertex_entries():
+    for point, mask, prof in scan.vertex_entries:
         cone = OrthantSet(P.dim, mask)
         out.append(PointClass(point, cone, full_axes, 0, prof.floral))
     return out
@@ -620,7 +694,7 @@ def vertex_census(P: IntegralOrthotope) -> VertexCensus:
     by_class: dict[str, int] = {}
     by_mu: dict[int, int] = {}
     if not scan.empty:
-        for _point, _mask, prof in scan.vertex_entries():
+        for _point, _mask, prof in scan.vertex_entries:
             assert prof.is_vertex
             by_class[prof.class_key] = by_class.get(prof.class_key, 0) + 1
             by_mu[prof.mu_d] = by_mu.get(prof.mu_d, 0) + 1
@@ -633,7 +707,7 @@ def sigma_sum(P: IntegralOrthotope) -> int:
     scan = _require_generic(P)
     if scan.empty:
         return 0
-    return sum(prof.sigma for _p, _m, prof in scan.vertex_entries())
+    return sum(prof.sigma for _p, _m, prof in scan.vertex_entries)
 
 
 def volume(P: IntegralOrthotope, method: VolumeMethod = VolumeMethod.MU_SUM) -> Fraction:
@@ -650,7 +724,7 @@ def volume(P: IntegralOrthotope, method: VolumeMethod = VolumeMethod.MU_SUM) -> 
     if method is VolumeMethod.DETERMINANTAL:
         scan = _require_generic(P)
         total = Fraction(0)
-        for point, _mask, prof in scan.vertex_entries():
+        for point, _mask, prof in scan.vertex_entries:
             term = Fraction(prof.tau_d)
             for c in point:
                 term *= Fraction(c, n)
@@ -658,15 +732,22 @@ def volume(P: IntegralOrthotope, method: VolumeMethod = VolumeMethod.MU_SUM) -> 
         return total if d % 2 == 0 else -total
     scan = _require_generic(P)
     mu = np.array([scan.profiles[m].mu_d for m in scan.unique_masks], dtype=np.int64)
-    acc = mu[scan.inverse]
-    for j in reversed(range(d)):
-        w = scan.widths(j).astype(np.int64)
-        size = 2 * len(w) - 1
-        weights = np.zeros(size, dtype=np.int64)
-        weights[0::2] = w - 1
-        weights[1::2] = 1
-        acc = np.tensordot(acc, weights, axes=([acc.ndim - 1], [0]))
-    total = int(acc)
+    weights = []
+    for j in range(d):
+        w = np.ones(2 * len(scan.edges[j]) - 3, dtype=np.int64)
+        w[0::2] = scan.widths(j) - 1
+        weights.append(w)
+    # Contract a block of axis-0 layers at a time, so the int64 values
+    # never take more room than one block.
+    inverse = scan.inverse
+    step = max(1, _VOLUME_BLOCK // (inverse.size // inverse.shape[0]))
+    total = 0
+    for start in range(0, inverse.shape[0], step):
+        acc = np.take(mu, inverse[start : start + step])
+        for j in reversed(range(d)):
+            w = weights[j][start : start + step] if j == 0 else weights[j]
+            acc = np.tensordot(acc, w, axes=([acc.ndim - 1], [0]))
+        total += int(acc)
     return Fraction(total, (1 << d) * n**d)
 
 
@@ -705,7 +786,7 @@ def skeleton(P: IntegralOrthotope) -> SkeletonGraph:
     scan = _require_generic(P)
     if scan.empty:
         return SkeletonGraph((), ())
-    entries = scan.vertex_entries()
+    entries = scan.vertex_entries
     inverse = scan.inverse
     profiles = [scan.profiles[m] for m in scan.unique_masks]
     node_index = {}
@@ -714,15 +795,7 @@ def skeleton(P: IntegralOrthotope) -> SkeletonGraph:
         node_index[point] = prof.tau_d
         nodes.append((point, prof.tau_d))
     arcs = set()
-    vertex_positions = np.argwhere(
-        np.isin(
-            inverse[(slice(1, None, 2),) * P.dim],
-            [i for i, p in enumerate(profiles) if p.degree == 0],
-        )
-    )
-    for sub_idx in vertex_positions:
-        base = tuple(2 * int(t) + 1 for t in sub_idx)
-        point = scan.point_of(base)
+    for base, (point, _mask, _prof) in zip(scan.vertex_positions.tolist(), entries):
         for j in range(P.dim):
             axis = j + 1
             for step in (-1, 1):

@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 from conftest import child_env
+from orthotopes import cli, lattice
 from orthotopes.arrangement import facet
 from orthotopes.cli import (
     EXIT_INCONSISTENT,
     EXIT_MALFORMED,
     EXIT_NOT_GENERIC,
+    EXIT_TOO_LARGE,
     ModelFormatError,
     load_faces,
     load_model,
@@ -171,6 +173,27 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert "broken.json:1" in capsys.readouterr().err
     assert main(["analyze", str(tmp_path / "missing.json")]) == EXIT_MALFORMED
     capsys.readouterr()
+
+
+def test_scan_over_budget_exits_5(monkeypatch, capsys):
+    monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", 1000)
+    for argv in (
+        ["analyze", str(FIXTURE)],
+        ["volume", str(FIXTURE), "--method", "voxelcount"],
+    ):
+        assert main(argv) == EXIT_TOO_LARGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("too large: scan of ")
+
+    # commands that rewrap ValueError as malformed input let it through
+    def too_large(*_args):
+        raise lattice.ScanTooLargeError(10**9, 10**10)
+
+    monkeypatch.setattr(cli, "random_generic", too_large)
+    flags = ["--dim", "2", "--count", "3", "--extent", "9", "--seed", "1"]
+    assert main(["random", *flags]) == EXIT_TOO_LARGE
+    assert "10000000000 bytes" in capsys.readouterr().err
 
 
 def test_volume_and_euler_commands(tmp_path, capsys):

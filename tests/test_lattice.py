@@ -8,13 +8,17 @@ methods (three volume routes, two Euler routes, compressed versus full
 resolution scans)."""
 
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthotopes import cli, lattice
 from orthotopes.arrangement import DEGENERATE, Cylinder, SetOp
@@ -758,17 +762,33 @@ def test_sigma_quadruple_on_offset_grids():
 # the classification scan
 
 
+def _mask_dtype(dim):
+    """Narrowest numpy dtype that holds a 2^dim-bit orthant mask; object
+    (Python ints) past 64 bits."""
+    if dim <= 3:
+        return np.uint8
+    if dim <= 4:
+        return np.uint16
+    if dim <= 5:
+        return np.uint32
+    if dim <= 6:
+        return np.uint64
+    return object
+
+
 def _masks_by_orthant(dim, occ):
     """Reference mask build: one ``np.ix_`` gather per orthant, 2^dim
-    passes over the doubled grid.  The library builds the same array in
-    one pass per axis."""
+    passes over the doubled grid, with the masks stored at every position.
+    The library composes codes of the same masks in one pass per axis.
+    Past 64 bits the masks are gathered as 64-bit words and joined into
+    Python ints at the end."""
     sizes = tuple(2 * n - 1 for n in occ.shape)
     lo_sel = [np.arange(s) // 2 for s in sizes]
     hi_sel = [(np.arange(s) + 1) // 2 for s in sizes]
-    dtype = lattice._mask_dtype(dim)
+    dtype = _mask_dtype(dim)
     if dtype is object:
-        masks = np.zeros(sizes, dtype=object)
-        source = occ.astype(object)
+        words = [np.zeros(sizes, dtype=np.uint64) for _ in range((1 << dim) // 64)]
+        source = occ.astype(np.uint64)
     else:
         masks = np.zeros(sizes, dtype=dtype)
         source = occ.astype(dtype)
@@ -776,10 +796,38 @@ def _masks_by_orthant(dim, occ):
         sel = tuple(hi_sel[j] if (s >> j) & 1 else lo_sel[j] for j in range(dim))
         contrib = source[np.ix_(*sel)]
         if dtype is object:
-            masks = masks + contrib * (1 << s)
+            words[s // 64] |= contrib << np.uint64(s % 64)
         else:
             masks |= contrib << dtype(s)
+    if dtype is object:
+        raw = np.stack(words, axis=-1).astype("<u8").tobytes()
+        width = 8 * len(words)
+        masks = np.empty(math.prod(sizes), dtype=object)
+        masks[:] = [
+            int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+        ]
+        masks = masks.reshape(sizes)
     return masks
+
+
+def _assert_codes_match_orthant_passes(P, rng, samples=6):
+    """The scan's codes, decoded through ``unique_masks``, equal the
+    reference masks at every position and ``classify_point`` at sampled
+    ones; the table holds each mask once and every code is used."""
+    scan = lattice._Scan(P)
+    expected = _masks_by_orthant(P.dim, scan.occ)
+    decoded = np.array(scan.unique_masks, dtype=object)[scan.inverse]
+    assert decoded.shape == expected.shape
+    assert np.array_equal(decoded, expected.astype(object))
+    count = len(scan.unique_masks)
+    assert len(set(scan.unique_masks)) == count
+    assert np.array_equal(np.unique(scan.inverse), np.arange(count))
+    assert scan.inverse.dtype == np.dtype(np.int16 if count <= 32767 else np.int32)
+    for _ in range(samples):
+        idx = tuple(rng.randrange(s) for s in decoded.shape)
+        cone = classify_point(P, scan.point_of(idx)).cone
+        assert decoded[idx] == cone.mask, (idx, P.boxes)
+    return scan
 
 
 def _random_touching_union(rng, pool_sizes, count):
@@ -795,7 +843,7 @@ def _random_touching_union(rng, pool_sizes, count):
 
 
 # Coordinate pools per axis, small enough in d = 6 and 7 that the 2^d-pass
-# reference stays quick; d = 7 runs on object-dtype masks.
+# reference stays quick; d = 7 masks are Python ints.
 _POOLS = {
     1: (9,),
     2: (7, 7),
@@ -810,19 +858,139 @@ _POOLS = {
 @pytest.mark.parametrize("dim", sorted(_POOLS))
 def test_axis_pass_masks_match_orthant_passes(dim):
     rng = random.Random(1000 + dim)
-    dtype = lattice._mask_dtype(dim)
     for trial in range(4):
         P = _random_touching_union(rng, _POOLS[dim], 1 + trial)
+        _assert_codes_match_orthant_passes(P, rng)
+
+
+def test_axis_pass_masks_match_orthant_passes_in_dimension_8():
+    rng = random.Random(1008)
+    cube = _assert_codes_match_orthant_passes(unit_cube(8), rng)
+    assert len(cube.unique_masks) == 3**8 + 1
+    # two unit cubes meeting along a 6-dimensional face: degenerate there
+    pair = from_boxes(
+        8,
+        [((0,) * 8, (1,) * 8), ((1,) + (0,) * 6 + (1,), (2,) + (1,) * 6 + (2,))],
+    )
+    _assert_codes_match_orthant_passes(pair, rng)
+    assert not check_generic(pair)
+
+
+def test_pair_table_fallback_gives_the_same_codes(monkeypatch):
+    rng = random.Random(2000)
+    models = [_random_touching_union(rng, _POOLS[d], 3) for d in range(1, 6)]
+    dense = [lattice._Scan(P) for P in models]
+    monkeypatch.setattr(lattice, "_PAIR_TABLE_LIMIT", 0)
+    for P, scan in zip(models, dense):
+        sorted_scan = _assert_codes_match_orthant_passes(P, rng)
+        assert sorted_scan.unique_masks == scan.unique_masks
+        assert np.array_equal(sorted_scan.inverse, scan.inverse)
+
+
+# Corner coordinates per axis for the property test below: every box
+# corner comes from range(k), so boxes overlap, touch along faces and meet
+# at edges and corners.  With these pools 8% (d = 2) to 55% (d = 4) of the
+# unions are degenerate; in d = 1 every union is generic.
+_CONTACT_POOLS = {
+    1: (6,),
+    2: (6, 6),
+    3: (4, 4, 4),
+    4: (3, 3, 3, 3),
+    5: (3, 3, 3, 2, 2),
+}
+
+
+def _contact_union(data, dim):
+    boxes = []
+    for _ in range(data.draw(st.integers(2, 4))):
+        spans = []
+        for k in _CONTACT_POOLS[dim]:
+            lo = data.draw(st.integers(0, k - 2))
+            spans.append((lo, data.draw(st.integers(lo + 1, k - 1))))
+        boxes.append((tuple(a for a, _b in spans), tuple(b for _a, b in spans)))
+    return from_boxes(dim, boxes)
+
+
+@pytest.mark.parametrize("dim", sorted(_CONTACT_POOLS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_scan_agrees_with_oracles_on_contact_unions(dim, data):
+    P = _contact_union(data, dim)
+    d = P.dim
+    cells = P.cells
+    by_cells = from_cells(d, cells)
+    scan = lattice._Scan(P)
+    full = lattice._Scan(P, compress=False)
+    # every position's code decodes to the brute-force cone
+    decoded = np.array(scan.unique_masks, dtype=object)[scan.inverse]
+    for idx in np.ndindex(decoded.shape):
+        assert decoded[idx] == classify_point(by_cells, scan.point_of(idx)).cone.mask
+    # verdict and witness: compressed scan, full-resolution scan, brute force
+    verdict = check_generic(P)
+    assert verdict == check_generic(P, compress=False)
+    if d <= 3:
+        assert verdict.witness == _brute_first_degenerate(by_cells)
+    # vertices against the full-resolution scan
+    points = [(pc.point, pc.cone.mask) for pc in vertices(P)]
+    assert points == [(point, mask) for point, mask, _prof in full.vertex_entries]
+    assert volume(P, VolumeMethod.VOXEL_COUNT) == len(cells)
+    cubical = euler(P, EulerMethod.CUBICAL_COMPLEX)
+    assert cubical == euler(by_cells, EulerMethod.CUBICAL_COMPLEX)
+    if not verdict:
+        for formula in (
+            vertex_census,
+            skeleton,
+            lambda Q: volume(Q, VolumeMethod.MU_SUM),
+            lambda Q: volume(Q, VolumeMethod.DETERMINANTAL),
+            lambda Q: euler(Q, EulerMethod.SIGMA_SUM),
+        ):
+            with pytest.raises(NotGenericError) as info:
+                formula(P)
+            assert info.value.witness == verdict.witness
+        return
+    by_class, by_mu = {}, {}
+    for _point, _mask, prof in full.vertex_entries:
+        by_class[prof.class_key] = by_class.get(prof.class_key, 0) + 1
+        by_mu[prof.mu_d] = by_mu.get(prof.mu_d, 0) + 1
+    census = vertex_census(P)
+    assert census.by_class == by_class and census.by_mu == by_mu
+    assert volume(P) == volume(P, VolumeMethod.DETERMINANTAL) == len(cells)
+    assert euler(P) == cubical
+
+
+def test_scan_over_budget_raises_before_allocating(monkeypatch):
+    boxes = [((0, 0, 0), (2, 2, 1)), ((1, 1, 1), (3, 3, 2))]
+    P = from_boxes(3, boxes)
+    monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", 100)
+    # equality and hashing build no scan, so no budget applies to them
+    assert P == from_boxes(3, boxes) and hash(P) == hash(from_boxes(3, boxes))
+
+    def allocate(*_args):
+        raise AssertionError("the occupancy was allocated over budget")
+
+    monkeypatch.setattr(lattice, "_occupancy", allocate)
+    for run in (check_generic, lambda Q: check_generic(Q, compress=False), face_poset):
+        with pytest.raises(lattice.ScanTooLargeError) as info:
+            run(P)
+    assert not isinstance(info.value, ValueError)
+    assert info.value.positions == 9 * 9 * 7
+    assert info.value.estimate == lattice._scan_bytes((9, 9, 7)) > 100
+    assert str(info.value.estimate) in str(info.value)
+    assert P._scan is None
+
+
+def test_scan_peak_matches_its_estimate():
+    P = random_generic(3, 30, 130, seed=1)
+    lattice._Scan(P)  # fill the mask-profile cache first
+    tracemalloc.start()
+    try:
         scan = lattice._Scan(P)
-        built = scan._build_masks(scan.occ)
-        expected = _masks_by_orthant(dim, scan.occ)
-        assert built.dtype == np.dtype(dtype)
-        assert built.shape == expected.shape == scan.inverse.shape
-        assert np.array_equal(built, expected)
-        for _ in range(6):
-            idx = tuple(rng.randrange(s) for s in built.shape)
-            cone = classify_point(P, scan.point_of(idx)).cone
-            assert int(built[idx]) == cone.mask, (idx, P.boxes)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scan.inverse.dtype == np.int16
+    estimate = lattice._scan_bytes(scan.inverse.shape)
+    assert 0.9 * estimate <= peak <= 1.1 * estimate
 
 
 def _count_scans(monkeypatch):
