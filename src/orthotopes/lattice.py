@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -234,15 +234,9 @@ class IntegralOrthotope:
     @property
     def cells(self) -> frozenset:
         if self._cells is None:
-            total = sum(
-                reduce(lambda a, b: a * b, (h - l for l, h in zip(lo, hi)), 1)
-                for lo, hi in self._boxes
+            _check_cell_total(
+                sum(math.prod(h - l for l, h in zip(lo, hi)) for lo, hi in self._boxes)
             )
-            if total > _CELL_LIMIT:
-                raise ConsistencyError(
-                    f"refusing to materialize about {total} cells; "
-                    "use the box form for instances of this size"
-                )
             cells = set()
             for lo, hi in self._boxes:
                 cells.update(
@@ -295,6 +289,15 @@ class IntegralOrthotope:
         else:
             body = f"boxes={len(self._boxes)}"
         return f"IntegralOrthotope(dim={self.dim}, scale={self.scale}, {body})"
+
+
+def _check_cell_total(total: int) -> None:
+    """Refuse to materialize more than ``_CELL_LIMIT`` unit cells."""
+    if total > _CELL_LIMIT:
+        raise ConsistencyError(
+            f"refusing to materialize about {total} cells; "
+            "use the box form for instances of this size"
+        )
 
 
 def _validate_header(dim, scale):
@@ -385,19 +388,13 @@ def _mask_profile(dim: int, mask: int) -> _MaskProfile:
 # the classification scan
 
 
-def _slab_edges(P: IntegralOrthotope, compress: bool = True) -> list:
-    """Per axis the edge coordinates of a nonempty ``P`` (see ``_Scan``).
-    ``compress=False`` puts an edge at every integer instead of only at
-    box coordinates."""
+def _slab_edges(P: IntegralOrthotope) -> list:
+    """Per axis the edge coordinates of a nonempty ``P`` (see ``_Scan``)."""
     boxes = P.boxes
     d = P.dim
     edges = []
     for j in range(d):
-        coords = {b[0][j] for b in boxes} | {b[1][j] for b in boxes}
-        if compress:
-            base = sorted(coords)
-        else:
-            base = list(range(min(coords), max(coords) + 1))
+        base = sorted({b[0][j] for b in boxes} | {b[1][j] for b in boxes})
         edges.append(np.array([base[0] - 1] + base + [base[-1] + 1], dtype=np.int64))
     return edges
 
@@ -516,13 +513,13 @@ class _Scan:
     composed one axis pass at a time (see ``_compose_axis``), so the masks
     themselves are never stored per position."""
 
-    def __init__(self, P: IntegralOrthotope, compress: bool = True):
+    def __init__(self, P: IntegralOrthotope):
         self.dim = P.dim
         self.scale = P.scale
         self.empty = P.is_empty
         if self.empty:
             return
-        self.edges = _slab_edges(P, compress)
+        self.edges = _slab_edges(P)
         shape = tuple(2 * len(e) - 3 for e in self.edges)
         estimate = _scan_bytes(shape)
         if estimate > _SCAN_BYTE_LIMIT:
@@ -651,26 +648,17 @@ def classify_point(P: IntegralOrthotope, point: Sequence) -> PointClass:
     return PointClass(coords, OrthantSet(P.dim, mask), prof.essential, prof.degree, prof.floral)
 
 
-def check_generic(P: IntegralOrthotope, *, compress: bool = True) -> Genericity:
-    """Decide whether every tangent cone of ``P`` is a floral arrangement.
-    The ``compress`` flag selects between the slab-compressed scan and a
-    full-resolution scan; both give the same verdict and exist so the two
-    can cross-check each other; only the compressed scan is cached."""
-    scan = _scan_for(P) if compress else _Scan(P, compress=False)
-    if scan.empty:
-        return Genericity(True)
-    witness = scan.degenerate_witness()
-    if witness is None:
-        return Genericity(True)
-    return Genericity(False, witness)
+def check_generic(P: IntegralOrthotope) -> Genericity:
+    """Decide whether every tangent cone of ``P`` is a floral arrangement."""
+    witness = _scan_for(P).degenerate_witness()
+    return Genericity(witness is None, witness)
 
 
 def _require_generic(P: IntegralOrthotope) -> _Scan:
     scan = _scan_for(P)
-    if not scan.empty:
-        witness = scan.degenerate_witness()
-        if witness is not None:
-            raise NotGenericError(witness)
+    witness = scan.degenerate_witness()
+    if witness is not None:
+        raise NotGenericError(witness)
     return scan
 
 
@@ -773,10 +761,9 @@ def euler(P: IntegralOrthotope, method: EulerMethod = EulerMethod.SIGMA_SUM) -> 
             slice(offset[j], offset[j] + 2 * occ.shape[j], 2) for j in range(d)
         )
         present[sel] |= occ
-    acc = present.astype(np.int64)
-    for j in reversed(range(d)):
-        signs = np.where(np.arange(sizes[j]) % 2 == 0, 1, -1).astype(np.int64)
-        acc = np.tensordot(acc, signs, axes=([acc.ndim - 1], [0]))
+    acc = present  # summed one axis at a time, never copied whole to int64
+    for _ in range(d):
+        acc = acc[..., ::2].sum(-1, np.int64) - acc[..., 1::2].sum(-1, np.int64)
     return int(acc)
 
 
@@ -857,51 +844,62 @@ def _region_labels(scan: _Scan) -> np.ndarray:
 
 def face_poset(P: IntegralOrthotope) -> FacePoset:
     """Genericity regions of the doubled grid, grouped into faces by
-    taking closures, with containment among closures.  Runs at full grid
-    resolution, so it is intended for desk-scale instances.  The local
-    structure is constant along a region, so a region lies in the closure
-    of another as soon as one of its positions does."""
-    _require_generic(P)
-    scan = _Scan(P, compress=False)
+    taking closures, with containment among closures, on the model's one
+    compressed scan.  The local structure is constant along a region, so a
+    slab interior stands for its whole run and a region lies in the closure
+    of another as soon as one of its positions does.  ``Face.cells`` lists
+    unit cells, so output past ``_CELL_LIMIT`` cells is refused unbuilt."""
+    scan = _require_generic(P)
     if scan.empty:
         return FacePoset((), frozenset())
     d = P.dim
     labels = _region_labels(scan)
-    order = np.argsort(labels.reshape(-1), kind="stable")
-    roots, starts, sizes = np.unique(
-        labels.reshape(-1)[order], return_index=True, return_counts=True
-    )
+    inside = np.flatnonzero(labels.reshape(-1) >= 0)
+    roots, owner = np.unique(labels.reshape(-1)[inside], return_inverse=True)
+    pos = np.stack(np.unravel_index(inside, labels.shape), axis=-1)
+    heads = np.stack(np.unravel_index(roots, labels.shape), axis=-1)
+    masks = [scan.unique_masks[c] for c in scan.inverse.reshape(-1)[roots].tolist()]
+    profs = [scan.profiles[m] for m in masks]
+    fixed_axes = np.array(
+        [[a in p.essential for a in range(1, d + 1)] for p in profs], dtype=bool
+    )[owner]
+    even = pos % 2 == 0
+    if (fixed_axes & (even | (pos != heads[owner]))).any():
+        raise ConsistencyError("essential axis varies inside a region")
+    # A position even on every free axis stands for the box of its slabs
+    # there; its cells are listed region by region.
+    rows = np.flatnonzero((even | fixed_axes).all(axis=1))
+    rows = rows[np.argsort(owner[rows], kind="stable")]
+    slab = pos[rows] // 2
+    lo = np.stack([scan.edges[j][slab[:, j]] for j in range(d)], axis=-1)
+    width = np.stack([scan.widths(j)[slab[:, j]] for j in range(d)], axis=-1)
+    width[fixed_axes[rows]] = 1
+    count = np.prod(width.astype(object), axis=1)
+    _check_cell_total(int(count.sum()))
+    count = count.astype(np.int64)
+    row_of = np.repeat(np.arange(len(rows)), count)
+    # each cell's rank inside its row's box, read as mixed-radix digits
+    local = np.arange(len(row_of)) - np.repeat(np.cumsum(count) - count, count)
+    cells = np.empty((len(row_of), d), dtype=np.int64)
+    for j in reversed(range(d)):
+        cells[:, j] = lo[row_of, j] + local % width[row_of, j]
+        local //= width[row_of, j]
+    bounds = np.searchsorted(owner[rows][row_of], np.arange(len(roots) + 1))
+    if (np.diff(bounds) == 0).any():
+        raise ConsistencyError("genericity region with no interior cell")
     ranked = []
-    for root, start, size in zip(roots.tolist(), starts, sizes):
-        if root < 0:
-            continue
-        member_flat = order[start : start + size]
-        members = np.stack(np.unravel_index(member_flat, labels.shape), axis=-1)
-        rep_idx = tuple(int(t) for t in np.unravel_index(root, labels.shape))
-        mask = scan.unique_masks[int(scan.inverse[rep_idx])]
-        prof = scan.profiles[mask]
+    for r, (head, mask, prof) in enumerate(zip(heads.tolist(), masks, profs)):
         free = tuple(a for a in range(1, d + 1) if a not in prof.essential)
-        fixed = []
-        for a in prof.essential:
-            col = members[:, a - 1]
-            if (col % 2 == 0).any() or col.min() != col.max():
-                raise ConsistencyError("essential axis varies inside a region")
-            fixed.append((a, int(scan.edges[a - 1][(int(col[0]) + 1) // 2])))
-        interior = np.ones(len(members), dtype=bool)
-        for a in free:
-            interior &= members[:, a - 1] % 2 == 0
-        cell_rows = members[interior]
-        if len(cell_rows) == 0:
-            raise ConsistencyError("genericity region with no interior cell")
-        cells = frozenset(
-            tuple(int(scan.edges[a - 1][int(row[a - 1]) // 2]) for a in free)
-            for row in cell_rows
+        fixed = tuple(
+            (a, int(scan.edges[a - 1][(head[a - 1] + 1) // 2])) for a in prof.essential
         )
-        rep_point = scan.point_of(rep_idx)
+        block = cells[bounds[r] : bounds[r + 1], [a - 1 for a in free]]
+        rep_point = scan.point_of(head)
         rep = PointClass(
             rep_point, OrthantSet(d, mask), prof.essential, prof.degree, prof.floral
         )
-        ranked.append((Face(len(free), free, tuple(fixed), cells, rep), root))
+        face = Face(len(free), free, fixed, frozenset(map(tuple, block.tolist())), rep)
+        ranked.append((face, int(roots[r])))
     ranked.sort(key=lambda e: (e[0].dim, e[0].representative.point))
     faces = tuple(face for face, _root in ranked)
     # The face index of every position; the last slot maps the exterior's -1.

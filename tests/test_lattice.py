@@ -4,8 +4,8 @@ The reference data comes from three kinds of oracle: hand-checkable frozen
 fixtures (the 28-cell solid torus, the unit cube, an L-shaped hexagon), a
 brute-force reclassification of every half-lattice point through the
 public point classifier, and cross-agreement between independently derived
-methods (three volume routes, two Euler routes, compressed versus full
-resolution scans)."""
+methods (three volume routes, two Euler routes, the compressed scan
+versus a test-side full-resolution scan)."""
 
 import itertools
 import math
@@ -238,7 +238,7 @@ def test_check_generic_fixtures(torus, q_solid):
 
 def test_compressed_and_full_scans_agree(torus, q_solid):
     for P in (unit_cube(), torus, q_solid):
-        assert check_generic(P) == check_generic(P, compress=False)
+        assert check_generic(P) == _FullScan(P).verdict()
 
 
 def test_witness_matches_brute_scan_order():
@@ -252,7 +252,7 @@ def test_witness_matches_brute_scan_order():
         P = from_cells(2, cells)
         expected = _brute_first_degenerate(P)
         verdict = check_generic(P)
-        assert verdict == check_generic(P, compress=False)
+        assert verdict == _FullScan(P).verdict()
         if expected is None:
             assert verdict.generic
         else:
@@ -266,7 +266,7 @@ def test_witness_on_wide_boxes_matches_brute():
     verdict = check_generic(P)
     assert not verdict.generic
     assert verdict.witness == _brute_first_degenerate(P)
-    assert verdict.witness == check_generic(P, compress=False).witness
+    assert verdict.witness == _FullScan(P).verdict().witness
 
 
 # ---------------------------------------------------------------------------
@@ -546,23 +546,23 @@ def _reference_face_poset(P):
     one nonempty mask, and face a lies in the closure of face b when every
     cell of a, pushed to either side of a's fixed coordinate on each axis
     free in b only, is a cell of b (a per-cell check over all face pairs)."""
-    scan = lattice._Scan(P, compress=False)
+    scan = _FullScan(P)
     d = P.dim
-    inverse = scan.inverse
+    masks = scan.masks
     graph = nx.Graph()
-    for idx in np.ndindex(inverse.shape):
-        if scan.unique_masks[inverse[idx]] == 0:
+    for idx in np.ndindex(masks.shape):
+        if masks[idx] == 0:
             continue
         graph.add_node(idx)
         for j in range(d):
             nb = idx[:j] + (idx[j] + 1,) + idx[j + 1 :]
-            if nb[j] < inverse.shape[j] and inverse[nb] == inverse[idx]:
+            if nb[j] < masks.shape[j] and masks[nb] == masks[idx]:
                 graph.add_edge(idx, nb)
     faces = []
     for region in nx.connected_components(graph):
         members = sorted(region)
-        mask = scan.unique_masks[inverse[members[0]]]
-        prof = scan.profiles[mask]
+        mask = masks[members[0]]
+        prof = scan.profile(members[0])
         free = tuple(a for a in range(1, d + 1) if a not in prof.essential)
         fixed = tuple(
             (a, int(scan.edges[a - 1][(members[0][a - 1] + 1) // 2]))
@@ -627,6 +627,18 @@ def _face_poset_models():
     rng = random.Random(83)
     for dim in (2, 3):
         yield pytest.param(_random_box_union(rng, dim, 3, 7), id=f"union-d{dim}")
+    # touching boxes whose shared coordinates merge slabs of the scan
+    yield pytest.param(
+        from_boxes(2, [((0, 0), (2, 2)), ((2, 0), (4, 2)), ((1, 2), (3, 5))]),
+        id="merged-slabs",
+    )
+    yield pytest.param(
+        from_boxes(2, [((0, 0), (3, 1)), ((0, 1), (1, 3))], scale=2), id="scale2"
+    )
+    # wide slabs, so the compressed and full grids differ on every axis
+    wide = random_generic(3, 3, 7, 1).boxes
+    five = [(tuple(5 * c for c in lo), tuple(5 * c for c in hi)) for lo, hi in wide]
+    yield pytest.param(from_boxes(3, five), id="generic-d3-x5")
 
 
 @pytest.mark.parametrize("P", list(_face_poset_models()))
@@ -635,6 +647,37 @@ def test_face_poset_matches_networkx_regions_and_cell_incidence(P):
     faces, incidence = _reference_face_poset(P)
     assert fp.faces == faces
     assert fp.incidence == incidence
+
+
+def test_face_poset_on_long_thin_boxes_reads_the_small_scan(monkeypatch):
+    P = from_boxes(2, [((0, 0), (10**4, 1)), ((5000, 1), (5001, 10**4))])
+    built = _count_scans(monkeypatch)
+    fp = face_poset(P)
+    assert built == [P] and P._scan.inverse.shape == (9, 7)
+    assert fp.f_vector() == (8, 8, 1)
+    assert sum(len(f.cells) for f in fp.faces) == 60_007
+
+
+def test_face_poset_refuses_too_many_cells_before_building_them(monkeypatch):
+    P = from_boxes(2, [((0, 0), (10, 1)), ((5, 1), (6, 10))])
+    # 8 vertices, 40 edge cells around the outline and 19 in the top face
+    monkeypatch.setattr(lattice, "_CELL_LIMIT", 8 + 40 + 19 - 1)
+    with pytest.raises(ConsistencyError, match="materialize about 67 cells"):
+        face_poset(P)
+    monkeypatch.undo()
+    assert sum(len(f.cells) for f in face_poset(P).faces) == 67
+    # 2^80 cells in the square alone: the count is exact, and nothing is built
+    side = 1 << 40
+    square = from_boxes(2, [((0, 0), (side, side))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConsistencyError) as info:
+            face_poset(square)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f"about {side * side + 4 * side + 4} cells" in str(info.value)
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +853,43 @@ def _masks_by_orthant(dim, occ):
     return masks
 
 
+class _FullScan:
+    """Full-resolution oracle of the classification scan, independent of
+    the library's axis passes: an edge at every integer from one below the
+    bounding box to one above it, and the mask of every position gathered
+    orthant by orthant from the dense unit-cell occupancy."""
+
+    def __init__(self, P):
+        self.dim = P.dim
+        lo, hi = P.bounding_box()
+        self.edges = [np.arange(l - 1, h + 2) for l, h in zip(lo, hi)]
+        occ = np.zeros([h - l + 2 for l, h in zip(lo, hi)], dtype=bool)
+        for box in P.boxes:
+            occ[tuple(slice(a - l + 1, b - l + 1) for a, b, l in zip(*box, lo))] = True
+        self.masks = _masks_by_orthant(P.dim, occ).astype(object)
+
+    def point_of(self, idx):
+        half = [Fraction(int(e[0]) * 2 + r + 1, 2) for e, r in zip(self.edges, idx)]
+        return tuple(int(c) if c.denominator == 1 else c for c in half)
+
+    def profile(self, idx):
+        return lattice._mask_profile(self.dim, int(self.masks[idx]))
+
+    def verdict(self):
+        for idx in np.ndindex(self.masks.shape):
+            if self.profile(idx).degenerate:
+                return Genericity(False, self.point_of(idx))
+        return Genericity(True)
+
+    def vertex_entries(self):
+        """(point, mask, profile) of every degree-0 position, in order."""
+        return [
+            (self.point_of(idx), int(self.masks[idx]), self.profile(idx))
+            for idx in np.ndindex(self.masks.shape)
+            if self.profile(idx).degree == 0
+        ]
+
+
 def _assert_codes_match_orthant_passes(P, rng, samples=6):
     """The scan's codes, decoded through ``unique_masks``, equal the
     reference masks at every position and ``classify_point`` at sampled
@@ -920,19 +1000,19 @@ def test_scan_agrees_with_oracles_on_contact_unions(dim, data):
     cells = P.cells
     by_cells = from_cells(d, cells)
     scan = lattice._Scan(P)
-    full = lattice._Scan(P, compress=False)
+    full = _FullScan(P)
     # every position's code decodes to the brute-force cone
     decoded = np.array(scan.unique_masks, dtype=object)[scan.inverse]
     for idx in np.ndindex(decoded.shape):
         assert decoded[idx] == classify_point(by_cells, scan.point_of(idx)).cone.mask
     # verdict and witness: compressed scan, full-resolution scan, brute force
     verdict = check_generic(P)
-    assert verdict == check_generic(P, compress=False)
+    assert verdict == full.verdict()
     if d <= 3:
         assert verdict.witness == _brute_first_degenerate(by_cells)
     # vertices against the full-resolution scan
     points = [(pc.point, pc.cone.mask) for pc in vertices(P)]
-    assert points == [(point, mask) for point, mask, _prof in full.vertex_entries]
+    assert points == [(point, mask) for point, mask, _prof in full.vertex_entries()]
     assert volume(P, VolumeMethod.VOXEL_COUNT) == len(cells)
     cubical = euler(P, EulerMethod.CUBICAL_COMPLEX)
     assert cubical == euler(by_cells, EulerMethod.CUBICAL_COMPLEX)
@@ -949,7 +1029,7 @@ def test_scan_agrees_with_oracles_on_contact_unions(dim, data):
             assert info.value.witness == verdict.witness
         return
     by_class, by_mu = {}, {}
-    for _point, _mask, prof in full.vertex_entries:
+    for _point, _mask, prof in full.vertex_entries():
         by_class[prof.class_key] = by_class.get(prof.class_key, 0) + 1
         by_mu[prof.mu_d] = by_mu.get(prof.mu_d, 0) + 1
     census = vertex_census(P)
@@ -969,7 +1049,7 @@ def test_scan_over_budget_raises_before_allocating(monkeypatch):
         raise AssertionError("the occupancy was allocated over budget")
 
     monkeypatch.setattr(lattice, "_occupancy", allocate)
-    for run in (check_generic, lambda Q: check_generic(Q, compress=False), face_poset):
+    for run in (check_generic, face_poset):
         with pytest.raises(lattice.ScanTooLargeError) as info:
             run(P)
     assert not isinstance(info.value, ValueError)
@@ -993,14 +1073,27 @@ def test_scan_peak_matches_its_estimate():
     assert 0.9 * estimate <= peak <= 1.1 * estimate
 
 
+def test_cubical_euler_peak_stays_under_the_scan_estimate():
+    P = random_generic(3, 30, 130, seed=1)
+    scan = lattice._scan_for(P)
+    tracemalloc.start()
+    try:
+        chi = euler(P, EulerMethod.CUBICAL_COMPLEX)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < lattice._scan_bytes(scan.inverse.shape)
+    assert chi == euler(P)
+
+
 def _count_scans(monkeypatch):
-    """Record the ``compress`` flag of every scan built from now on."""
+    """Record the model of every scan built from now on."""
     built = []
     original = lattice._Scan.__init__
 
-    def counting(self, P, compress=True):
-        built.append(compress)
-        original(self, P, compress)
+    def counting(self, P):
+        built.append(P)
+        original(self, P)
 
     monkeypatch.setattr(lattice._Scan, "__init__", counting)
     return built
@@ -1011,23 +1104,20 @@ def test_analyze_builds_one_scan(monkeypatch):
     built = _count_scans(monkeypatch)
     body, code = cli._report(P)
     assert code == 0 and body["generic"]
-    assert built == [True]
+    assert built == [P]
     assert P.cell_count() == 28 and volume(P, VolumeMethod.VOXEL_COUNT) == 28
     assert euler(P, EulerMethod.CUBICAL_COMPLEX) == 0
-    assert built == [True]
+    assert built == [P]
 
 
-def test_full_resolution_scans_bypass_the_cache(monkeypatch):
+def test_face_poset_reuses_the_cached_scan(monkeypatch):
     P = from_cells(3, TORUS_CELLS)
     built = _count_scans(monkeypatch)
-    assert check_generic(P, compress=False)
-    assert built == [False]
-    assert P._scan is None
     assert check_generic(P)
     cached = P._scan
-    assert cached is not None and built == [False, True]
+    assert cached is not None and built == [P]
     face_poset(P)
-    assert built == [False, True, False]
+    assert built == [P]
     assert P._scan is cached
 
 
