@@ -28,14 +28,14 @@ from .spd import (
     Series,
     SignedSpd,
     Spd,
-    _make,
+    _join,
     _Marker,
+    _node,
     axes,
     delete_edge,
     dual,
     edge_count,
     edge_kind,
-    normalize,
     residual_diagram,
 )
 
@@ -271,16 +271,6 @@ class Cylinder:
             raise ValueError(f"free axes {sorted(overlap)} occur in the diagram")
 
 
-def _series_join(parts: list[SignedSpd]) -> SignedSpd:
-    if len(parts) == 1:
-        return parts[0]
-    shape = normalize(_make(Series, [p.shape for p in parts]))
-    neg: frozenset[int] = frozenset()
-    for p in parts:
-        neg |= p.neg
-    return SignedSpd(shape, neg)
-
-
 def _components(adjacent: list[int]) -> list[list[int]]:
     """Connected components of the graph on 0..n-1 in which bit j of
     ``adjacent[i]`` joins i and j, each listed in increasing order."""
@@ -300,9 +290,9 @@ def _components(adjacent: list[int]) -> list[list[int]]:
 
 
 def _read_once(mask: int, dim: int, block: list[int], positive: dict[int, bool]):
-    """Shape of the read-once formula over the literals at the 0-based
-    positions ``block`` that evaluates to ``mask``, or None when there is
-    none.  The literal at position i is the half-space on side
+    """Normal-form shape of the read-once formula over the literals at the
+    0-based positions ``block`` that evaluates to ``mask``, or None when
+    there is none.  The literal at position i is the half-space on side
     ``positive[i]``; the mask must grow with every literal and depend on
     exactly the positions of ``block``.
 
@@ -354,7 +344,7 @@ def _read_once(mask: int, dim: int, block: list[int], positive: dict[int, bool])
         if kid is None:
             return None
         kids.append(kid)
-    return kind(tuple(kids))
+    return _node(kind, kids)
 
 
 def _recognize(orthants: OrthantSet):
@@ -373,7 +363,7 @@ def _recognize(orthants: OrthantSet):
     if shape is None:
         return DEGENERATE, essential
     neg = frozenset(a for a, s in signs.items() if s < 0)
-    diagram = SignedSpd(normalize(shape), neg)
+    diagram = SignedSpd(shape, neg)
     assert orthants_of(diagram, d) == orthants
     free = tuple(i for i in range(1, d + 1) if i not in signs)
     if free:
@@ -464,12 +454,11 @@ def facet(v: FloralVertex | SignedSpd, axis: int):
             else:
                 rest.append(child)
         assert beta is not None and rest
-        gamma_shape = rest[0] if len(rest) == 1 else Series(tuple(rest))
-        collected.append(_restrict(work, normalize(gamma_shape)))
+        collected.append(_restrict(work, _node(Series, rest)))
         if isinstance(beta, Leaf):
             break
         work = dual(_restrict(work, beta))
-    result = _series_join(collected)
+    result = _join(Series, collected)
     assert axes(result.shape) == axes(signed.shape) - {axis}
     return result
 
@@ -488,7 +477,7 @@ def edge_cross_section(v: FloralVertex | SignedSpd, axis: int):
     """Diagram of the slice at x_axis = edge_direction: the deletion
     D \\ axis with inherited signs (TRIVIAL for a single-edge diagram)."""
     signed = _as_signed(v)
-    smaller = delete_edge(signed.shape, axis, allow_trivial=True)
+    smaller = delete_edge(signed.shape, axis)
     if smaller is TRIVIAL:
         return TRIVIAL
     return _restrict(signed, smaller)

@@ -23,8 +23,10 @@ the arrangement does on the appropriate side.
 
 Normal form: nodes are n-ary, no series node has a series child (same for
 parallel), children are ordered by canonical key and then by smallest axis
-label.  All public constructors return normal forms, so structural equality
-is semantic equality.
+label.  Every tree edit builds its nodes through ``_node``, which takes
+normal-form children and returns the normal-form node, so all public
+constructors return normal forms and structural equality is semantic
+equality.
 """
 
 from __future__ import annotations
@@ -181,25 +183,41 @@ def _sort_key(child: Spd) -> tuple[str, int]:
     return (_child_key(child), min(axes(child)))
 
 
-def normalize(spd: Spd) -> Spd:
-    """Flatten nested same-kind nodes and order children canonically."""
-    if isinstance(spd, Leaf):
-        return spd
-    kids: list[Spd] = []
-    for c in spd.children:
-        c = normalize(c)
-        if type(c) is type(spd):
-            kids.extend(c.children)  # type: ignore[union-attr]
+def _node(kind, kids) -> Spd:
+    """The normal-form ``kind`` node over normal-form children: same-kind
+    children are flattened in, a lone child stands for itself, and the
+    children are ordered by ``_sort_key``."""
+    flat: list[Spd] = []
+    for c in kids:
+        if isinstance(c, kind):
+            flat.extend(c.children)
         else:
-            kids.append(c)
-    kids.sort(key=_sort_key)
-    node = Series(tuple(kids)) if isinstance(spd, Series) else Parallel(tuple(kids))
+            flat.append(c)
+    if len(flat) == 1:
+        return flat[0]
+    flat.sort(key=_sort_key)
+    return kind(tuple(flat))
+
+
+def _check_distinct_axes(spd: Spd) -> None:
+    """Refuse a tree that carries some axis label on two leaves."""
     seen: set[int] = set()
-    for a in _iter_axes(node):
+    for a in _iter_axes(spd):
         if a in seen:
             raise ValueError(f"axis {a} occurs more than once")
         seen.add(a)
-    return node
+
+
+def normalize(spd: Spd) -> Spd:
+    """Flatten nested same-kind nodes and order children canonically."""
+    _check_distinct_axes(spd)
+
+    def rec(node: Spd) -> Spd:
+        if isinstance(node, Leaf):
+            return node
+        return _node(type(node), [rec(c) for c in node.children])
+
+    return rec(spd)
 
 
 def _iter_axes(spd: Spd) -> Iterator[int]:
@@ -309,27 +327,30 @@ def parse_expr(text: str) -> SignedSpd:
         pos += 1
         return tok
 
+    seen: set[int] = set()
+
+    def literal(negated: bool) -> SignedSpd:
+        _, val, at = take("int")
+        ax = int(val)
+        if ax < 1:
+            raise ParseError("axis labels start at 1", at)
+        if ax in seen:
+            raise ParseError(f"axis {ax} occurs more than once", at)
+        seen.add(ax)
+        return SignedSpd(Leaf(ax), frozenset((ax,)) if negated else frozenset())
+
     def factor() -> SignedSpd:
         tok = peek()
         if tok[0] == "~":
             take("~")
-            inner = peek()
-            if inner[0] == "int":
-                _, val, at = take("int")
-                ax = int(val)
-                if ax < 1:
-                    raise ParseError("axis labels start at 1", at)
-                return SignedSpd(Leaf(ax), frozenset((ax,)))
+            if peek()[0] == "int":
+                return literal(True)
             take("(")
             node = expr()
             take(")")
             return dual(node)
         if tok[0] == "int":
-            _, val, at = take("int")
-            ax = int(val)
-            if ax < 1:
-                raise ParseError("axis labels start at 1", at)
-            return SignedSpd(Leaf(ax))
+            return literal(False)
         if tok[0] == "(":
             take("(")
             node = expr()
@@ -355,25 +376,13 @@ def parse_expr(text: str) -> SignedSpd:
     tok = peek()
     if tok[0] != "end":
         raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-    try:
-        shape = normalize(result.shape)
-    except ValueError as exc:
-        raise ParseError(str(exc), 0) from None
-    return SignedSpd(shape, result.neg)
+    return result
 
 
 def _join(kind, parts: list[SignedSpd]) -> SignedSpd:
-    if len(parts) == 1:
-        return parts[0]
-    kids: list[Spd] = []
-    neg: set[int] = set()
-    for p in parts:
-        if isinstance(p.shape, kind):
-            kids.extend(p.shape.children)
-        else:
-            kids.append(p.shape)
-        neg.update(p.neg)
-    return SignedSpd(kind(tuple(kids)), frozenset(neg))
+    """``kind`` composition of normal-form signed diagrams on disjoint axes."""
+    neg = frozenset().union(*(p.neg for p in parts))
+    return SignedSpd(_node(kind, [p.shape for p in parts]), neg)
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +399,11 @@ def dual(x: SignedSpd | Spd) -> SignedSpd | Spd:
     def swap(node: Spd) -> Spd:
         if isinstance(node, Leaf):
             return node
-        kids = tuple(swap(c) for c in node.children)
-        return Parallel(kids) if isinstance(node, Series) else Series(kids)
+        kind = Parallel if isinstance(node, Series) else Series
+        return _node(kind, [swap(c) for c in node.children])
 
-    return normalize(swap(x))
+    _check_distinct_axes(x)
+    return swap(x)
 
 
 class Bouquet(NamedTuple):
@@ -491,49 +501,26 @@ def edge_kind(spd: Spd, axis: int) -> EdgeKind:
     return EdgeKind.CONJUNCTIVE
 
 
-def _make(kind, kids: list[Spd]) -> Spd:
-    # collapsing a one-child parent can promote a same-kind grandchild, so
-    # flatten here before the node validates itself
-    flat: list[Spd] = []
-    for c in kids:
-        if isinstance(c, kind):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    return kind(tuple(flat))
-
-
-def delete_edge(spd: Spd, axis: int, *, allow_trivial: bool = False):
+def delete_edge(spd: Spd, axis: int):
     """Delete edge ``axis``: contract it when conjunctive (identify its
     terminals), remove it when disjunctive.  On the parse tree both cases
     drop the leaf and collapse a one-child parent.
 
-    Deleting the only edge yields the honorary vertex diagram, returned as
-    TRIVIAL when ``allow_trivial`` is set and raising ValueError otherwise.
+    Deleting the only edge yields the honorary vertex diagram TRIVIAL.
     """
-    if isinstance(spd, Leaf):
-        if spd.axis != axis:
-            raise ValueError(f"axis {axis} does not occur in the diagram")
-        if allow_trivial:
-            return TRIVIAL
-        raise ValueError("deleting the only edge leaves a single vertex")
-
-    def rec(node: Spd) -> Spd:
-        kids: list[Spd] = []
-        for c in node.children:
-            if isinstance(c, Leaf) and c.axis == axis:
-                continue
-            if not isinstance(c, Leaf) and axis in axes(c):
-                kids.append(rec(c))
-            else:
-                kids.append(c)
-        if len(kids) == 1:
-            return kids[0]
-        return _make(type(node), kids)
-
     if axis not in axes(spd):
         raise ValueError(f"axis {axis} does not occur in the diagram")
-    return normalize(rec(spd))
+    _check_distinct_axes(spd)
+    if isinstance(spd, Leaf):
+        return TRIVIAL
+    gone = Leaf(axis)
+
+    def rec(node: Spd) -> Spd:
+        if isinstance(node, Leaf):
+            return node
+        return _node(type(node), [rec(c) for c in node.children if c != gone])
+
+    return rec(spd)
 
 
 def residual_diagram(spd: Spd, axis: int):
@@ -546,6 +533,7 @@ def residual_diagram(spd: Spd, axis: int):
     disjunctive one) and may then cascade.  Returns a Spd, or FULL/EMPTY
     when everything collapses.
     """
+    _check_distinct_axes(spd)
     value = edge_kind(spd, axis) is EdgeKind.DISJUNCTIVE
 
     def rec(node: Spd):
@@ -566,30 +554,28 @@ def residual_diagram(spd: Spd, axis: int):
         if not kids:
             # all children absorbed by the constant
             return isinstance(node, Series)
-        if len(kids) == 1:
-            return kids[0]
-        return _make(type(node), kids)
+        return _node(type(node), kids)
 
     out = rec(spd)
     if out is True:
         return FULL
     if out is False:
         return EMPTY
-    return normalize(out)
+    return out
 
 
 def relabel(spd: Spd, mapping: Mapping[int, int]) -> Spd:
     """Rename axes through an injective mapping; labels absent from the
     mapping are kept."""
+    _check_distinct_axes(spd)
 
     def rec(node: Spd) -> Spd:
         if isinstance(node, Leaf):
             return Leaf(mapping.get(node.axis, node.axis))
-        kids = tuple(rec(c) for c in node.children)
-        return Series(kids) if isinstance(node, Series) else Parallel(kids)
+        return _node(type(node), [rec(c) for c in node.children])
 
-    out = normalize(rec(spd))
-    if edge_count(out) != edge_count(spd):
+    out = rec(spd)
+    if len(axes(out)) != edge_count(spd):
         raise ValueError("relabeling must be injective")
     return out
 

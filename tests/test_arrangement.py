@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import signed_spds
+from test_spd import _reference_normalize
 from orthotopes.arrangement import (
     DEGENERATE,
     Cylinder,
     FloralVertex,
     OrthantSet,
     SetOp,
-    _series_join,
     combine,
     edge_cross_section,
     edge_direction,
@@ -32,6 +32,7 @@ from orthotopes.spd import (
     Parallel,
     Series,
     SignedSpd,
+    _join,
     axes,
     dual,
     edge_count,
@@ -139,7 +140,7 @@ def _recognize_core(members: frozenset, positions: tuple[int, ...]) -> SignedSpd
             continue
         right = _recognize_core(proj_b, slots_b)
         if right is not None:
-            return _series_join([left, right])
+            return _join(Series, [left, right])
     complement = frozenset(
         t for t in _all_tuples(len(positions)) if t not in members
     )
@@ -149,7 +150,7 @@ def _recognize_core(members: frozenset, positions: tuple[int, ...]) -> SignedSpd
             continue
         right = _recognize_core(proj_b, slots_b)
         if right is not None:
-            return dual(_series_join([left, right]))
+            return dual(_join(Series, [left, right]))
     return None
 
 
@@ -378,7 +379,12 @@ def test_recognize_matches_bipartition_search():
     for d in range(5, 9):
         for mask in _oracle_masks(rng, d):
             s = OrthantSet(d, mask)
-            assert recognize(s) == _recognize_by_bipartition(s), (d, mask)
+            got = recognize(s)
+            assert got == _recognize_by_bipartition(s), (d, mask)
+            if isinstance(got, Cylinder):
+                got = got.diagram
+            if isinstance(got, SignedSpd):
+                assert _reference_normalize(got.shape) == got.shape
 
 
 def test_essential_axes_match_slice_definition():
@@ -399,9 +405,9 @@ def test_recognize_round_trip(signed, extra):
     if free:
         assert isinstance(got, Cylinder)
         assert frozenset(got.free_axes) == free
-        assert got.diagram == signed
-    else:
-        assert got == signed
+        got = got.diagram
+    assert got == signed
+    assert _reference_normalize(got.shape) == got.shape
 
 
 def test_union_of_floral_need_not_be_floral():
@@ -462,6 +468,7 @@ def _facet_agrees_with_boundary(signed: SignedSpd):
         assert _slice_signs(got, v.dim - 1, axis) == expected, (format_expr(signed), axis)
         if v.dim >= 2:
             assert axes(got.shape) == axes(signed.shape) - {axis}
+            assert _reference_normalize(got.shape) == got.shape
 
 
 def test_facet_agrees_with_boundary_exhaustive_small():
@@ -513,8 +520,13 @@ def test_cross_sections_match_slice_oracle(signed):
         eps = edge_direction(v, axis)
         near = v.orthants.slice(axis, eps)
         far = v.orthants.slice(axis, -eps)
-        assert _slice_signs(edge_cross_section(v, axis), v.dim - 1, axis) == near
-        assert _slice_signs(residual_cross_section(v, axis), v.dim - 1, axis) == far
+        cross = edge_cross_section(v, axis)
+        residue = residual_cross_section(v, axis)
+        assert _slice_signs(cross, v.dim - 1, axis) == near
+        assert _slice_signs(residue, v.dim - 1, axis) == far
+        for x in (cross, residue):
+            if isinstance(x, SignedSpd):
+                assert _reference_normalize(x.shape) == x.shape
 
 
 @settings(max_examples=80)

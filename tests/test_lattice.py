@@ -473,6 +473,32 @@ def test_skeleton_torus(torus):
     assert all(colors[a] != colors[b] for a, b, _axis in sk.arcs)
 
 
+def test_skeleton_is_the_zero_and_one_faces(torus):
+    # an independent route to the graph: its nodes are the 0-faces and its
+    # arcs the 1-faces, each joined to the two 0-faces in its closure
+    models = [torus] + [
+        random_generic(dim, count, extent, seed)
+        for dim, count, extent in ((1, 3, 9), (2, 4, 9), (3, 3, 7), (4, 2, 5))
+        for seed in range(6)
+    ]
+    for P in models:
+        sk = skeleton(P)
+        fp = face_poset(P)
+        points = [f.representative.point for f in fp.faces]
+        assert [p for p, _tau in sk.nodes] == sorted(
+            points[i] for i, f in enumerate(fp.faces) if f.dim == 0
+        )
+        arcs = []
+        for i, f in enumerate(fp.faces):
+            if f.dim != 1:
+                continue
+            below = [j for j, k in fp.incidence if k == i]
+            assert len(below) == 2 and all(fp.faces[j].dim == 0 for j in below)
+            a, b = sorted(points[j] for j in below)
+            arcs.append((a, b, f.free_axes[0]))
+        assert list(sk.arcs) == sorted(arcs)
+
+
 def test_skeleton_requires_generic(q_solid):
     with pytest.raises(NotGenericError):
         skeleton(q_solid)

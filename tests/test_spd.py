@@ -18,6 +18,8 @@ from orthotopes.spd import (
     ParseError,
     Series,
     SignedSpd,
+    _iter_axes,
+    _sort_key,
     axes,
     bouquet,
     canonical_form,
@@ -63,6 +65,28 @@ def _two_terminal_graph(spd):
     g.add_node(snk)
     build(spd, src, snk)
     return g
+
+
+def _reference_normalize(spd):
+    """The normal form by one re-walk of the whole tree, independent of
+    ``spd._node``: the oracle for the outputs of every tree edit."""
+    if isinstance(spd, Leaf):
+        return spd
+    kids = []
+    for c in spd.children:
+        c = _reference_normalize(c)
+        if type(c) is type(spd):
+            kids.extend(c.children)  # type: ignore[union-attr]
+        else:
+            kids.append(c)
+    kids.sort(key=_sort_key)
+    node = Series(tuple(kids)) if isinstance(spd, Series) else Parallel(tuple(kids))
+    seen: set[int] = set()
+    for a in _iter_axes(node):
+        if a in seen:
+            raise ValueError(f"axis {a} occurs more than once")
+        seen.add(a)
+    return node
 
 
 def _mu_truth_table(spd):
@@ -131,10 +155,11 @@ def test_parse_errors_carry_position(text, pos):
 
 
 def test_repeated_axis_rejected():
-    with pytest.raises(ParseError):
-        parse_expr("1&1")
-    with pytest.raises(ParseError):
-        parse_expr("(1|2)&(2|3)")
+    # the error points at the repeated literal, also inside a negated group
+    for text, pos in (("1&1", 2), ("(1|2)&(2|3)", 7), ("~(1|1)", 4), ("~(1&2)|(2&3)", 8)):
+        with pytest.raises(ParseError, match="axis . occurs more than once") as err:
+            parse_expr(text)
+        assert err.value.position == pos
 
 
 def test_normal_form_orders_composites_first():
@@ -213,6 +238,7 @@ def test_mu_is_odd_and_counts_satisfying_assignments(shape):
 def test_dual_is_an_involution(shape):
     d = edge_count(shape)
     co = dual(shape)
+    assert _reference_normalize(co) == co
     assert dual(co) == shape
     assert mu(shape) + mu(co) == 1 << d
     assert bouquet(shape).rank + bouquet(co).rank == d - 1
@@ -270,9 +296,7 @@ def test_delete_edge_examples():
     assert format_expr(delete_edge(small, 1)) == "2&3"
     wide = parse_expr("(((((1|2)&3)|4)&5)|6)&(7|8)").shape
     assert delete_edge(wide, 6) == parse_expr("((((1|2)&3)|4)&5)&(7|8)").shape
-    assert delete_edge(Leaf(1), 1, allow_trivial=True) is TRIVIAL
-    with pytest.raises(ValueError):
-        delete_edge(Leaf(1), 1)
+    assert delete_edge(Leaf(1), 1) is TRIVIAL
     with pytest.raises(ValueError):
         delete_edge(shape, 9)
 
@@ -282,6 +306,7 @@ def test_delete_edge_examples():
 def test_delete_preserves_sign_exactly_for_conjunctive_edges(shape, data):
     axis = data.draw(st.sampled_from(sorted(axes(shape))))
     smaller = delete_edge(shape, axis)
+    assert _reference_normalize(smaller) == smaller
     assert axes(smaller) == axes(shape) - {axis}
     same_sign = bouquet(shape).sign == bouquet(smaller).sign
     assert same_sign == (edge_kind(shape, axis) is EdgeKind.CONJUNCTIVE)
@@ -302,6 +327,7 @@ def test_residual_either_collapses_or_loses_joined_subdiagram(shape, data):
     res = residual_diagram(shape, axis)
     if res is FULL or res is EMPTY:
         return
+    assert _reference_normalize(res) == res
     assert axis not in axes(res)
     assert axes(res) < axes(shape)
 
@@ -318,8 +344,30 @@ def test_canonical_key_is_relabeling_invariant(shape, rng):
     shuffled = labels[:]
     rng.shuffle(shuffled)
     other = relabel(shape, dict(zip(labels, shuffled)))
+    assert _reference_normalize(other) == other
     assert canonical_key(other) == canonical_key(shape)
     assert canonical_form(other) == canonical_form(shape)
+
+
+def test_relabel_must_be_injective():
+    with pytest.raises(ValueError, match="injective"):
+        relabel(parse_expr("1|2").shape, {1: 2})
+    with pytest.raises(ValueError, match="injective"):
+        relabel(parse_expr("(1&2)|3").shape, {1: 3, 3: 1, 2: 1})
+
+
+def test_raw_tree_with_a_repeated_axis_is_refused():
+    raw = Parallel((Leaf(1), Leaf(1), Leaf(2)))
+    edits = (
+        normalize,
+        dual,
+        lambda x: delete_edge(x, 2),
+        lambda x: residual_diagram(x, 2),
+        lambda x: relabel(x, {2: 3}),
+    )
+    for edit in edits:
+        with pytest.raises(ValueError, match="axis 1 occurs more than once"):
+            edit(raw)
 
 
 @settings(max_examples=120)
