@@ -28,7 +28,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .arrangement import DEGENERATE, OrthantSet, SetOp, _recognize, orthant_counts
+from .arrangement import (
+    DEGENERATE,
+    OrthantSet,
+    SetOp,
+    _recognize,
+    edge_direction,
+    orthant_counts,
+)
 from .spd import SignedSpd, bouquet, canonical_key
 
 __all__ = [
@@ -91,9 +98,10 @@ class ConsistencyError(RuntimeError):
 
 
 class ScanTooLargeError(MemoryError):
-    """Raised before a classification scan allocates its doubled grid when
-    the estimated peak exceeds the scan's memory budget.  ``positions`` is
-    the size of the doubled grid and ``estimate`` the peak in bytes."""
+    """Raised before a classification scan, or the region labelling of
+    ``face_poset``, allocates its doubled grid when the estimated peak
+    exceeds the scan's memory budget.  ``positions`` is the size of the
+    doubled grid and ``estimate`` the peak in bytes."""
 
     def __init__(self, positions: int, estimate: int):
         self.positions = positions
@@ -389,12 +397,13 @@ def _mask_profile(dim: int, mask: int) -> _MaskProfile:
 
 
 def _slab_edges(P: IntegralOrthotope) -> list:
-    """Per axis the edge coordinates of a nonempty ``P`` (see ``_Scan``)."""
+    """Per axis the edge coordinates of ``P`` (see ``_Scan``); an empty
+    ``P`` gets one edge at 0, so its scan is all exterior."""
     boxes = P.boxes
     d = P.dim
     edges = []
     for j in range(d):
-        base = sorted({b[0][j] for b in boxes} | {b[1][j] for b in boxes})
+        base = sorted({b[0][j] for b in boxes} | {b[1][j] for b in boxes}) or [0]
         edges.append(np.array([base[0] - 1] + base + [base[-1] + 1], dtype=np.int64))
     return edges
 
@@ -443,6 +452,17 @@ def _scan_bytes(shape: tuple) -> int:
     edges = positions - previous
     occupancy = math.prod((n + 1) // 2 for n in shape)
     return occupancy + 2 * previous + 2 * positions + 6 * edges
+
+
+def _label_bytes(shape: tuple) -> int:
+    """Upper bound on the peak bytes of ``_region_labels`` on a doubled grid
+    of this shape: per position a bool and four int64 arrays (flat index,
+    parents, two pointer-jumping copies); per join, at most one for each
+    axis-adjacent pair, a bool and eight int64 (both ends, their copies,
+    their parents and the min and max of those); 64 KiB of small arrays."""
+    positions = math.prod(shape)
+    joins = sum(positions // n * (n - 1) for n in shape)
+    return 33 * positions + 65 * joins + (1 << 16)
 
 
 def _compose_axis(codes: np.ndarray, table: list, j: int):
@@ -516,9 +536,6 @@ class _Scan:
     def __init__(self, P: IntegralOrthotope):
         self.dim = P.dim
         self.scale = P.scale
-        self.empty = P.is_empty
-        if self.empty:
-            return
         self.edges = _slab_edges(P)
         shape = tuple(2 * len(e) - 3 for e in self.edges)
         estimate = _scan_bytes(shape)
@@ -547,22 +564,27 @@ class _Scan:
     def widths(self, j: int) -> np.ndarray:
         return np.diff(self.edges[j])
 
+    @cached_property
+    def sum_dtype(self):
+        """int64 while 2^d times the grid's volume, which bounds every sum
+        of nonnegative terms over the scan, fits in it; else object, so the
+        sums run in Python ints."""
+        bound = math.prod(int(e[-1]) - int(e[0]) for e in self.edges) << self.dim
+        return np.int64 if bound <= np.iinfo(np.int64).max else object
+
     # derived summaries ------------------------------------------------
 
     def cell_total(self) -> int:
-        if self.empty:
-            return 0
-        total = self.occ.astype(np.int64)
+        total = self.occ.astype(self.sum_dtype)
         for j in reversed(range(self.dim)):
-            total = np.tensordot(total, self.widths(j), axes=([total.ndim - 1], [0]))
+            w = self.widths(j).astype(self.sum_dtype)
+            total = np.tensordot(total, w, axes=([total.ndim - 1], [0]))
         return int(total)
 
     def degenerate_witness(self):
         """Lexicographically first scan point whose cone fails recognition,
         or ``None``.  Slab interiors stand for runs of identical layers, so
         the reported point is the first half-integer of its run."""
-        if self.empty:
-            return None
         bad = [
             i for i, m in enumerate(self.unique_masks) if self.profiles[m].degenerate
         ]
@@ -576,35 +598,17 @@ class _Scan:
         return self.point_of(idx)
 
     @cached_property
-    def vertex_positions(self) -> np.ndarray:
-        """Doubled-grid indices of all degree-0 positions, one row each, in
-        lexicographic order.  Degree-0 points lie on edges in every axis,
-        so only the all-odd positions are searched."""
-        if self.empty:
-            return np.empty((0, self.dim), dtype=np.intp)
-        keep = [
-            i
-            for i, m in enumerate(self.unique_masks)
-            if self.profiles[m].degree == 0
-        ]
-        sub = self.inverse[(slice(1, None, 2),) * self.dim]
-        return 2 * np.argwhere(np.isin(sub, keep)) + 1
-
-    @cached_property
     def vertex_entries(self) -> list:
-        """(point, mask, profile) triples for all degree-0 points, in the
-        order of ``vertex_positions``.  Degenerate degree-0 points are
-        included so callers can report them."""
-        pos = self.vertex_positions
-        if not len(pos):
-            return []
-        codes = self.inverse[tuple(pos.T)].tolist()
-        coords = [self.edges[j][(pos[:, j] + 1) // 2].tolist() for j in range(self.dim)]
-        masks = [self.unique_masks[c] for c in codes]
-        return [
-            (point, mask, self.profiles[mask])
-            for point, mask in zip(zip(*coords), masks)
-        ]
+        """(point, mask, profile) triples for all degree-0 points, in
+        lexicographic order.  Degree-0 points lie on edges in every axis,
+        so only the all-odd positions are searched.  Degenerate degree-0
+        points are included so callers can report them."""
+        vertex = np.array([self.profiles[m].degree == 0 for m in self.unique_masks])
+        sub = self.inverse[(slice(1, None, 2),) * self.dim]
+        pos = np.argwhere(vertex[sub])
+        masks = [self.unique_masks[c] for c in sub[tuple(pos.T)].tolist()]
+        coords = [self.edges[j][pos[:, j] + 1].tolist() for j in range(self.dim)]
+        return [(p, m, self.profiles[m]) for p, m in zip(zip(*coords), masks)]
 
 
 def _scan_for(P: IntegralOrthotope) -> _Scan:
@@ -666,26 +670,21 @@ def vertices(P: IntegralOrthotope) -> list:
     """All degree-0 half-lattice points with their recognition results.
     Points whose cone fails recognition are reported with ``floral`` set
     to the degenerate marker rather than suppressed."""
-    scan = _scan_for(P)
-    out = []
-    if scan.empty:
-        return out
     full_axes = tuple(range(1, P.dim + 1))
-    for point, mask, prof in scan.vertex_entries:
-        cone = OrthantSet(P.dim, mask)
-        out.append(PointClass(point, cone, full_axes, 0, prof.floral))
-    return out
+    return [
+        PointClass(point, OrthantSet(P.dim, mask), full_axes, 0, prof.floral)
+        for point, mask, prof in _scan_for(P).vertex_entries
+    ]
 
 
 def vertex_census(P: IntegralOrthotope) -> VertexCensus:
     scan = _require_generic(P)
     by_class: dict[str, int] = {}
     by_mu: dict[int, int] = {}
-    if not scan.empty:
-        for _point, _mask, prof in scan.vertex_entries:
-            assert prof.is_vertex
-            by_class[prof.class_key] = by_class.get(prof.class_key, 0) + 1
-            by_mu[prof.mu_d] = by_mu.get(prof.mu_d, 0) + 1
+    for _point, _mask, prof in scan.vertex_entries:
+        assert prof.is_vertex
+        by_class[prof.class_key] = by_class.get(prof.class_key, 0) + 1
+        by_mu[prof.mu_d] = by_mu.get(prof.mu_d, 0) + 1
     return VertexCensus(dict(sorted(by_class.items())), dict(sorted(by_mu.items())))
 
 
@@ -693,8 +692,6 @@ def sigma_sum(P: IntegralOrthotope) -> int:
     """Sum of bouquet signs over all vertices.  Divisible by 2^dim for
     every generic orthotope; the quotient is the Euler characteristic."""
     scan = _require_generic(P)
-    if scan.empty:
-        return 0
     return sum(prof.sigma for _p, _m, prof in scan.vertex_entries)
 
 
@@ -704,8 +701,6 @@ def volume(P: IntegralOrthotope, method: VolumeMethod = VolumeMethod.MU_SUM) -> 
         raise ValueError(f"unknown volume method {method!r}")
     n = P.scale
     d = P.dim
-    if P.is_empty:
-        return Fraction(0)
     if method is VolumeMethod.VOXEL_COUNT:
         scan = _scan_for(P)
         return Fraction(scan.cell_total(), n**d)
@@ -719,13 +714,14 @@ def volume(P: IntegralOrthotope, method: VolumeMethod = VolumeMethod.MU_SUM) -> 
             total += term
         return total if d % 2 == 0 else -total
     scan = _require_generic(P)
-    mu = np.array([scan.profiles[m].mu_d for m in scan.unique_masks], dtype=np.int64)
+    dtype = scan.sum_dtype
+    mu = np.array([scan.profiles[m].mu_d for m in scan.unique_masks], dtype=dtype)
     weights = []
     for j in range(d):
-        w = np.ones(2 * len(scan.edges[j]) - 3, dtype=np.int64)
+        w = np.ones(2 * len(scan.edges[j]) - 3, dtype=dtype)
         w[0::2] = scan.widths(j) - 1
         weights.append(w)
-    # Contract a block of axis-0 layers at a time, so the int64 values
+    # Contract a block of axis-0 layers at a time, so the gathered values
     # never take more room than one block.
     inverse = scan.inverse
     step = max(1, _VOLUME_BLOCK // (inverse.size // inverse.shape[0]))
@@ -743,8 +739,6 @@ def euler(P: IntegralOrthotope, method: EulerMethod = EulerMethod.SIGMA_SUM) -> 
     if not isinstance(method, EulerMethod):
         raise ValueError(f"unknown euler method {method!r}")
     d = P.dim
-    if P.is_empty:
-        return 0
     if method is EulerMethod.SIGMA_SUM:
         total = sigma_sum(P)
         if total % (1 << d):
@@ -768,45 +762,39 @@ def euler(P: IntegralOrthotope, method: EulerMethod = EulerMethod.SIGMA_SUM) -> 
 
 
 def skeleton(P: IntegralOrthotope) -> SkeletonGraph:
-    """Vertices of ``P`` joined along grid segments whose interior points
-    all have degree 1 with the segment's axis inessential."""
+    """Vertices of ``P`` joined by its edges.  A generic vertex has one edge
+    along each axis, to a neighbour on that grid line, so the vertices of a
+    line pair off in order; each pair must lie on one line, point its edges
+    at each other and alternate tau signs, and a leftover fails the degree
+    check."""
     scan = _require_generic(P)
-    if scan.empty:
-        return SkeletonGraph((), ())
+    d = P.dim
     entries = scan.vertex_entries
-    inverse = scan.inverse
-    profiles = [scan.profiles[m] for m in scan.unique_masks]
-    node_index = {}
-    nodes = []
-    for point, _mask, prof in entries:
-        node_index[point] = prof.tau_d
-        nodes.append((point, prof.tau_d))
-    arcs = set()
-    for base, (point, _mask, _prof) in zip(scan.vertex_positions.tolist(), entries):
-        for j in range(P.dim):
-            axis = j + 1
-            for step in (-1, 1):
-                r = list(base)
-                found = None
-                while True:
-                    r[j] += step
-                    if r[j] < 0 or r[j] >= inverse.shape[j]:
-                        break
-                    prof = profiles[int(inverse[tuple(r)])]
-                    if prof.degree == 0:
-                        found = tuple(r)
-                        break
-                    if prof.degree != 1 or axis in prof.essential:
-                        break
-                if found is None:
-                    continue
-                other = scan.point_of(found)
-                if node_index[point] != -node_index[other]:
-                    raise ConsistencyError(
-                        f"tau signs fail to alternate along {point} .. {other}"
-                    )
-                arcs.add((min(point, other), max(point, other), axis))
-    graph = SkeletonGraph(tuple(sorted(nodes)), tuple(sorted(arcs)))
+    points = [point for point, _mask, _prof in entries]
+    nodes = tuple((point, prof.tau_d) for point, _mask, prof in entries)
+    tau = np.array([t for _point, t in nodes], dtype=np.int64)
+    at = np.array(points, dtype=np.int64).reshape(-1, d)
+    toward = {
+        m: [edge_direction(p.floral, a) for a in range(1, d + 1)]
+        for m, p in scan.profiles.items()
+        if p.degree == 0
+    }
+    toward = np.array([toward[m] for _p, m, _q in entries], np.int64).reshape(-1, d)
+    arcs = []
+    for j in range(d):
+        others = [at[:, k] for k in reversed(range(d)) if k != j]
+        order = np.lexsort([at[:, j]] + others)
+        lo, hi = order[:-1:2], order[1::2]
+        for bad, what in (
+            (np.delete(at[lo] != at[hi], j, axis=1).any(axis=1), "line changes"),
+            ((toward[lo, j] != 1) | (toward[hi, j] != -1), "edges point apart"),
+            (tau[lo] != -tau[hi], "tau signs fail to alternate"),
+        ):
+            if bad.any():
+                a, b = points[lo[bad][0]], points[hi[bad][0]]
+                raise ConsistencyError(f"{what} along {a} .. {b}")
+        arcs.extend((points[a], points[b], j + 1) for a, b in zip(lo, hi))
+    graph = SkeletonGraph(nodes, tuple(sorted(arcs)))
     for point, deg in graph.degrees().items():
         if deg != P.dim:
             raise ConsistencyError(f"vertex {point} has skeleton degree {deg}")
@@ -818,8 +806,12 @@ def _region_labels(scan: _Scan) -> np.ndarray:
     nonempty mask, each labelled by the C-order flat index of its first
     position; exterior positions get -1.  Roots hook under the smallest
     root they meet and pointer jumping flattens the trees, until no join
-    crosses two trees (Shiloach and Vishkin, 1982)."""
+    crosses two trees (Shiloach and Vishkin, 1982).  A labelling whose
+    bound ``_label_bytes`` passes the scan budget is refused unbuilt."""
     inverse = scan.inverse
+    estimate = _label_bytes(inverse.shape)
+    if estimate > _SCAN_BYTE_LIMIT:
+        raise ScanTooLargeError(inverse.size, estimate)
     empty = scan.unique_masks.index(0)  # the padding puts exterior in every scan
     index = np.arange(inverse.size).reshape(inverse.shape)
     heads, tails = [], []
@@ -850,7 +842,7 @@ def face_poset(P: IntegralOrthotope) -> FacePoset:
     of another as soon as one of its positions does.  ``Face.cells`` lists
     unit cells, so output past ``_CELL_LIMIT`` cells is refused unbuilt."""
     scan = _require_generic(P)
-    if scan.empty:
+    if P.is_empty:  # no region: the per-region arrays below lose an axis
         return FacePoset((), frozenset())
     d = P.dim
     labels = _region_labels(scan)

@@ -29,6 +29,7 @@ from orthotopes.lattice import (
     Genericity,
     IntegralOrthotope,
     NotGenericError,
+    SkeletonGraph,
     VolumeMethod,
     check_generic,
     classify_point,
@@ -179,18 +180,24 @@ def test_cell_materialization_guard():
         huge.cells
 
 
-def test_empty_orthotope_is_total():
-    E = from_boxes(3, [])
-    assert E.is_empty and E.bounding_box() is None
-    assert check_generic(E) == Genericity(True)
-    assert volume(E) == 0
-    assert all(volume(E, m) == 0 for m in VolumeMethod)
-    assert all(euler(E, m) == 0 for m in EulerMethod)
-    census = vertex_census(E)
-    assert census.by_mu == {} and census.by_class == {}
-    assert vertices(E) == []
-    assert skeleton(E).nodes == ()
-    assert face_poset(E).faces == ()
+def test_empty_orthotope_is_total(monkeypatch):
+    # an empty model scans like any other: one edge at 0 per axis, all exterior
+    built = _count_scans(monkeypatch)
+    for E in (from_boxes(3, []), from_cells(3, []), from_boxes(1, [])):
+        built.clear()
+        assert E.is_empty and E.bounding_box() is None
+        assert E.cell_count() == 0
+        assert check_generic(E) == Genericity(True)
+        assert built == [E] and E._scan is not None
+        assert volume(E) == 0
+        assert all(volume(E, m) == 0 for m in VolumeMethod)
+        assert all(euler(E, m) == 0 for m in EulerMethod)
+        census = vertex_census(E)
+        assert census.by_mu == {} and census.by_class == {}
+        assert vertices(E) == []
+        assert skeleton(E) == SkeletonGraph((), ())
+        assert face_poset(E).faces == ()
+        assert built == [E]
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +371,27 @@ def test_mu_sum_matches_brute_point_scan():
         assert volume(P, VolumeMethod.MU_SUM) == Fraction(total, 4)
 
 
+def test_volume_and_cell_count_stay_exact_past_int64():
+    # two unit cubes sharing an edge, thickened at bound 1/262144 as
+    # ``orthotope genericize --bound 1/262144`` writes them: about 2^64 cells
+    n = 2097152
+    P = from_boxes(
+        3,
+        [((-1, -1, -1), (n + 1,) * 3), ((n - 1, n - 1, -2), (2 * n + 1, 2 * n + 1, n + 2))],
+        scale=n,
+    )
+    # the overlap is 2 x 2 x (n + 2) cells
+    cells = (n + 2) ** 3 + (n + 2) ** 2 * (n + 4) - 4 * (n + 2)
+    assert cells == 18446805646419427344 > 2**64
+    assert P.cell_count() == cells
+    for method in VolumeMethod:
+        assert volume(P, method) == Fraction(cells, n**3)
+    assert volume(P) == Fraction(1152925352901214209, 576460752303423488)
+    square = from_boxes(2, [((0, 0), (2**40, 2**40))])
+    assert all(volume(square, m) == 2**80 for m in VolumeMethod)
+    assert square.cell_count() == 2**80
+
+
 def test_volume_formula_methods_require_generic(q_solid):
     for method in (VolumeMethod.MU_SUM, VolumeMethod.DETERMINANTAL):
         with pytest.raises(NotGenericError):
@@ -497,6 +525,91 @@ def test_skeleton_is_the_zero_and_one_faces(torus):
             a, b = sorted(points[j] for j in below)
             arcs.append((a, b, f.free_axes[0]))
         assert list(sk.arcs) == sorted(arcs)
+
+
+def _reference_skeleton(P):
+    """The line walk ``skeleton`` was before it read the graph off the
+    vertex list: from every all-odd position of degree 0, step along each
+    axis both ways while the positions have degree 1 with that axis
+    inessential, and join the vertex where the walk stops."""
+    scan = lattice._require_generic(P)
+    inverse = scan.inverse
+    profiles = [scan.profiles[m] for m in scan.unique_masks]
+    keep = [i for i, prof in enumerate(profiles) if prof.degree == 0]
+    sub = inverse[(slice(1, None, 2),) * P.dim]
+    vertex_positions = 2 * np.argwhere(np.isin(sub, keep)) + 1
+    node_index = {}
+    nodes = []
+    for base in vertex_positions.tolist():
+        point = scan.point_of(base)
+        tau = profiles[int(inverse[tuple(base)])].tau_d
+        node_index[point] = tau
+        nodes.append((point, tau))
+    arcs = set()
+    for base in vertex_positions.tolist():
+        point = scan.point_of(base)
+        for j in range(P.dim):
+            axis = j + 1
+            for step in (-1, 1):
+                r = list(base)
+                found = None
+                while True:
+                    r[j] += step
+                    if r[j] < 0 or r[j] >= inverse.shape[j]:
+                        break
+                    prof = profiles[int(inverse[tuple(r)])]
+                    if prof.degree == 0:
+                        found = tuple(r)
+                        break
+                    if prof.degree != 1 or axis in prof.essential:
+                        break
+                if found is None:
+                    continue
+                other = scan.point_of(found)
+                if node_index[point] != -node_index[other]:
+                    raise ConsistencyError(
+                        f"tau signs fail to alternate along {point} .. {other}"
+                    )
+                arcs.add((min(point, other), max(point, other), axis))
+    graph = SkeletonGraph(tuple(sorted(nodes)), tuple(sorted(arcs)))
+    for point, deg in graph.degrees().items():
+        if deg != P.dim:
+            raise ConsistencyError(f"vertex {point} has skeleton degree {deg}")
+    return graph
+
+
+def test_skeleton_matches_the_line_walk(torus):
+    models = [torus, from_cells(2, L_CELLS), unit_cube(1), unit_cube(5)] + [
+        random_generic(dim, count, extent, seed)
+        for dim, count, extent in ((1, 5, 20), (2, 8, 30), (3, 6, 20), (4, 4, 12), (5, 3, 8))
+        for seed in range(1, 5)
+    ]
+    for P in models:
+        assert skeleton(P) == _reference_skeleton(P)
+
+
+def test_skeleton_checks_edge_directions(torus, monkeypatch):
+    assert len(skeleton(torus).arcs) == 48
+    monkeypatch.setattr(lattice, "edge_direction", lambda _vertex, _axis: 1)
+    with pytest.raises(ConsistencyError, match="edges point apart"):
+        skeleton(torus)
+
+
+def test_skeleton_pairs_vertices_on_one_line_only():
+    # the L-hexagon's vertices are (0,0) (2,0) (2,1) (1,1) (1,2) (0,2) in
+    # skeleton order.  Without (2,1) and (0,2) the axis-1 pairing would join
+    # (1,1) to (1,2), whose directions and tau signs fit; only the line
+    # differs.  Without (3,) the segment [2, 3] leaves (2,) over.
+    for cells, missing, message in (
+        (L_CELLS, {(2, 1), (0, 2)}, r"line changes along \(1, 1\) \.\. \(1, 2\)"),
+        ([(0,), (2,)], {(3,)}, r"vertex \(2,\) has skeleton degree 0"),
+    ):
+        P = from_cells(len(cells[0]), cells)
+        scan = lattice._scan_for(P)
+        assert len(skeleton(P).nodes) == len(scan.vertex_entries)
+        scan.vertex_entries = [e for e in scan.vertex_entries if e[0] not in missing]
+        with pytest.raises(ConsistencyError, match=message):
+            skeleton(P)
 
 
 def test_skeleton_requires_generic(q_solid):
@@ -1062,6 +1175,7 @@ def test_scan_agrees_with_oracles_on_contact_unions(dim, data):
     assert census.by_class == by_class and census.by_mu == by_mu
     assert volume(P) == volume(P, VolumeMethod.DETERMINANTAL) == len(cells)
     assert euler(P) == cubical
+    assert skeleton(P) == _reference_skeleton(P)
 
 
 def test_scan_over_budget_raises_before_allocating(monkeypatch):
@@ -1097,6 +1211,38 @@ def test_scan_peak_matches_its_estimate():
     assert scan.inverse.dtype == np.int16
     estimate = lattice._scan_bytes(scan.inverse.shape)
     assert 0.9 * estimate <= peak <= 1.1 * estimate
+
+
+def test_label_bound_covers_the_labelling_peak():
+    for args in ((4, 6, 34, 1), (3, 10, 50, 1), (3, 30, 130, 1), (2, 300, 1210, 1)):
+        scan = lattice._Scan(random_generic(*args))
+        tracemalloc.start()
+        try:
+            lattice._region_labels(scan)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= lattice._label_bytes(scan.inverse.shape), args
+
+
+def test_face_poset_refuses_a_labelling_over_budget(monkeypatch):
+    P = random_generic(3, 10, 50, seed=1)
+    shape = tuple(2 * len(e) - 3 for e in lattice._slab_edges(P))
+    scan_bytes, label_bytes = lattice._scan_bytes(shape), lattice._label_bytes(shape)
+    assert scan_bytes < label_bytes
+    monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", (scan_bytes + label_bytes) // 2)
+    assert check_generic(P)
+    tracemalloc.start()
+    try:
+        with pytest.raises(lattice.ScanTooLargeError) as info:
+            face_poset(P)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.positions == math.prod(shape)
+    assert info.value.estimate == label_bytes
+    # refused before the labelling allocates even one byte per position
+    assert peak < math.prod(shape)
 
 
 def test_cubical_euler_peak_stays_under_the_scan_estimate():
