@@ -74,10 +74,6 @@ _CELL_LIMIT = 5_000_000
 # refused with ``ScanTooLargeError`` before anything is allocated.
 _SCAN_BYTE_LIMIT = 4 << 30
 
-# The mu-sum volume gathers per-position values for at most about this
-# many positions at a time.
-_VOLUME_BLOCK = 1 << 18
-
 # An axis pass with more than this many possible (hi, lo) code pairs
 # deduplicates them with ``np.unique`` instead of a dense presence table.
 _PAIR_TABLE_LIMIT = 1 << 24
@@ -412,15 +408,10 @@ def _occupancy(P: IntegralOrthotope, edges) -> np.ndarray:
     """Which slabs between the ``edges`` the boxes of ``P`` occupy."""
     d = P.dim
     occ = np.zeros(tuple(len(e) - 1 for e in edges), dtype=bool)
-    for lo, hi in P.boxes:
-        sel = tuple(
-            slice(
-                int(np.searchsorted(edges[j], lo[j])),
-                int(np.searchsorted(edges[j], hi[j])),
-            )
-            for j in range(d)
-        )
-        occ[sel] = True
+    corners = np.array(P.boxes, dtype=np.int64).reshape(-1, 2, d)
+    slabs = np.stack([np.searchsorted(edges[j], corners[..., j]) for j in range(d)], -1)
+    for lo, hi in slabs.tolist():
+        occ[tuple(map(slice, lo, hi))] = True
     return occ
 
 
@@ -442,16 +433,18 @@ def _canonical_occupancy(P: IntegralOrthotope):
 
 
 def _scan_bytes(shape: tuple) -> int:
-    """Estimated peak bytes of building a scan over a doubled grid of this
-    shape with 2-byte codes.  The peak is the last axis pass: beside the
-    1-byte slab occupancy it holds the previous pass's codes, the new
-    codes, and for each edge position a 4-byte pair code and a 2-byte
-    gathered code (see ``_compose_axis``)."""
+    """Estimated peak bytes of a scan over a doubled grid of this shape with
+    2-byte codes, the full grid included.  The peak is the last axis pass of
+    the full grid: beside the 1-byte slab occupancy and the vertex grid's
+    2-byte codes it holds the previous pass's codes, the new codes, and for
+    each edge position a 4-byte pair code and a 2-byte gathered code (see
+    ``_compose_axis``)."""
     positions = math.prod(shape)
     previous = positions // shape[-1] * ((shape[-1] + 1) // 2)
     edges = positions - previous
     occupancy = math.prod((n + 1) // 2 for n in shape)
-    return occupancy + 2 * previous + 2 * positions + 6 * edges
+    vertex = math.prod((n - 1) // 2 for n in shape)
+    return occupancy + 2 * vertex + 2 * previous + 2 * positions + 6 * edges
 
 
 def _label_bytes(shape: tuple) -> int:
@@ -465,55 +458,88 @@ def _label_bytes(shape: tuple) -> int:
     return 33 * positions + 65 * joins + (1 << 16)
 
 
-def _compose_axis(codes: np.ndarray, table: list, j: int):
-    """One axis pass of the mask build, on codes into ``table``, the masks
-    seen so far.  Entry codes index masks in which bit s < 2^j is the
-    occupancy of the neighbouring cell on the hi side of axis i when bit i
-    of s is set and on the lo side otherwise.  The pass doubles axis j into
-    positions.  A position's mask is the mask of its hi neighbour shifted
-    up by 2^j over that of its lo neighbour, so it is fixed by the pair
-    code hi * K + lo of the two neighbour codes, K = len(table).
+def _code_dtype(count: int):
+    return np.int16 if count <= np.iinfo(np.int16).max else np.int32
 
-    The masks are hash-consed as in the unique table of reduced ordered
-    BDDs (Bryant, IEEE Trans. Computers, 1986): every distinct pair gets
-    one code, through a dense presence table of the K^2 pairs, so no sort
-    is needed.  A slab interior has the same slab on both sides, so pair
-    (c, c) keeps code c; the pairs first seen on edges get codes K, K+1,
-    ... in pair order.  Past ``_PAIR_TABLE_LIMIT`` pairs, ``np.unique``
-    finds the pairs instead of the presence table."""
-    k = len(table)
+
+def _edge_pairs(codes: np.ndarray, k: int, j: int, dtype) -> np.ndarray:
+    """The pair code hi * k + lo of the two slabs beside each edge along
+    axis j, from their codes into a table of k masks."""
     head = (slice(None),) * j
-    pair = codes[head + (slice(1, None),)].astype(
-        np.int32 if k * k <= np.iinfo(np.int32).max else np.int64
-    )
+    pair = codes[head + (slice(1, None),)].astype(dtype)
     pair *= k
     pair += codes[head + (slice(None, -1),)]
-    dense = k * k <= _PAIR_TABLE_LIMIT
-    if dense:
-        present = np.zeros(k * k, dtype=bool)
-        present[pair] = True
-        used = np.flatnonzero(present)
-    else:
+    return pair
+
+
+def _hash_cons(pair: np.ndarray, size: int, number):
+    """The distinct values of ``pair``, all below ``size``, in increasing
+    order, and ``pair`` with every value replaced by its code, where
+    ``number(used)`` gives the codes of the distinct values in that order.
+    As in the unique table of reduced ordered BDDs (Bryant, IEEE Trans.
+    Computers, 1986), a dense presence table of the ``size`` values finds
+    them, so no sort is needed; past ``_PAIR_TABLE_LIMIT`` values
+    ``np.unique`` finds them instead."""
+    if size > _PAIR_TABLE_LIMIT:
         used, inverse = np.unique(pair.reshape(-1), return_inverse=True)
-    same = used % (k + 1) == 0
-    fresh = used[~same]
-    dtype = np.int16 if k + len(fresh) <= np.iinfo(np.int16).max else np.int32
-    code = np.empty(len(used), dtype=dtype)
-    code[same] = used[same] // (k + 1)
-    code[~same] = np.arange(k, k + len(fresh))
+        return used, number(used)[inverse].reshape(pair.shape)
+    present = np.zeros(size, dtype=bool)
+    present[pair] = True
+    used = np.flatnonzero(present)
+    code = number(used)
+    rank = np.zeros(size, dtype=code.dtype)
+    rank[used] = code
+    return used, rank[pair]
+
+
+def _pair_axis(codes: np.ndarray, table: list, j: int):
+    """One axis pass of the vertex grid, on codes into ``table``, the masks
+    seen so far.  Entry codes index masks in which bit s < 2^j is the
+    occupancy of the neighbouring cell on the hi side of axis i when bit i
+    of s is set and on the lo side otherwise.  The pass replaces the slabs
+    of axis j by the edges between them: an edge's mask is the mask of its
+    hi slab shifted up by 2^j over that of its lo slab, so it is fixed by
+    the pair code hi * K + lo, K = len(table).  The pairs found are coded
+    0, 1, ... in pair order, so every code is used."""
+    k = len(table)
+    pair = _edge_pairs(codes, k, j, np.intp)
+    used, out = _hash_cons(
+        pair, k * k, lambda used: np.arange(len(used), dtype=_code_dtype(len(used)))
+    )
+    shift = 1 << j
+    return out, [(table[p // k] << shift) | table[p % k] for p in used.tolist()]
+
+
+def _compose_axis(codes: np.ndarray, table: list, j: int):
+    """One axis pass of the full doubled grid: as ``_pair_axis``, but axis j
+    is doubled into positions, the slab interiors interleaved with the
+    edges.  A slab interior has the same slab on both sides, so pair (c, c)
+    keeps code c; the pairs first seen on edges get codes K, K+1, ... in
+    pair order."""
+    k = len(table)
+    pair = _edge_pairs(
+        codes, k, j, np.int32 if k * k <= np.iinfo(np.int32).max else np.int64
+    )
+    head = (slice(None),) * j
     shape = list(codes.shape)
     shape[j] = 2 * shape[j] - 1
-    out = np.empty(shape, dtype=dtype)
+
+    def number(used):
+        same = used % (k + 1) == 0
+        fresh = len(used) - int(same.sum())
+        code = np.empty(len(used), dtype=_code_dtype(k + fresh))
+        code[same] = used[same] // (k + 1)
+        code[~same] = np.arange(k, k + fresh)
+        return code
+
+    used, gathered = _hash_cons(pair, k * k, number)
+    out = np.empty(shape, dtype=gathered.dtype)
     out[head + (slice(0, None, 2),)] = codes
-    if dense:
-        rank = np.zeros(k * k, dtype=dtype)
-        rank[used] = code
-        out[head + (slice(1, None, 2),)] = rank[pair]
-    else:
-        out[head + (slice(1, None, 2),)] = code[inverse].reshape(pair.shape)
+    out[head + (slice(1, None, 2),)] = gathered
     shift = 1 << j
     table = [(m << shift) | m for m in table] + [
-        (table[p // k] << shift) | table[p % k] for p in fresh.tolist()
+        (table[p // k] << shift) | table[p % k]
+        for p in used[used % (k + 1) != 0].tolist()
     ]
     return out, table
 
@@ -528,26 +554,49 @@ class _Scan:
     an axis are indexed by r = 0 .. 2*(len(edges)-1) - 2; even r is the
     interior of slab r//2 and odd r is the edge shared by slabs r//2 and
     r//2 + 1.  Every position gets the bit set of occupied orthants around
-    the corresponding point; the scan keeps only its code ``inverse`` into
-    ``unique_masks`` and the ``profiles`` of those masks.  The codes are
-    composed one axis pass at a time (see ``_compose_axis``), so the masks
-    themselves are never stored per position."""
+    the corresponding point, stored only as a code into a table of the
+    distinct masks; ``profiles`` holds the profile of every mask met.
+
+    The scan composes the codes of the vertex grid, the all-odd positions,
+    one axis pass at a time (see ``_pair_axis``): ``vertex_codes`` into
+    ``vertex_masks``.  They decide the verdict and give every vertex: a
+    slab interior's cone is the cylinder over a one-sided cross-section of
+    the cone at the edge beside it, and cross-sections of floral cones are
+    floral.  The codes of the whole grid, ``inverse`` into
+    ``unique_masks`` (see ``_compose_axis``), are composed on first use,
+    for ``face_poset`` and for the witness of a degenerate verdict."""
 
     def __init__(self, P: IntegralOrthotope):
         self.dim = P.dim
         self.scale = P.scale
         self.edges = _slab_edges(P)
-        shape = tuple(2 * len(e) - 3 for e in self.edges)
-        estimate = _scan_bytes(shape)
+        self.shape = tuple(2 * len(e) - 3 for e in self.edges)
+        estimate = _scan_bytes(self.shape)
         if estimate > _SCAN_BYTE_LIMIT:
-            raise ScanTooLargeError(math.prod(shape), estimate)
+            raise ScanTooLargeError(math.prod(self.shape), estimate)
         self.occ = _occupancy(P, self.edges)
         codes, table = self.occ.view(np.int8), [0, 1]
         for j in range(self.dim):
-            codes, table = _compose_axis(codes, table, j)
-        self.inverse = codes
-        self.unique_masks = table
+            codes, table = _pair_axis(codes, table, j)
+        self.vertex_codes = codes
+        self.vertex_masks = table
         self.profiles = {m: _mask_profile(self.dim, m) for m in table}
+
+    @cached_property
+    def _full(self) -> tuple:
+        codes, table = self.occ.view(np.int8), [0, 1]
+        for j in range(self.dim):
+            codes, table = _compose_axis(codes, table, j)
+        self.profiles.update({m: _mask_profile(self.dim, m) for m in table})
+        return codes, table
+
+    @property
+    def inverse(self) -> np.ndarray:
+        return self._full[0]
+
+    @property
+    def unique_masks(self) -> list:
+        return self._full[1]
 
     # position helpers ------------------------------------------------
 
@@ -564,49 +613,44 @@ class _Scan:
     def widths(self, j: int) -> np.ndarray:
         return np.diff(self.edges[j])
 
-    @cached_property
-    def sum_dtype(self):
-        """int64 while 2^d times the grid's volume, which bounds every sum
-        of nonnegative terms over the scan, fits in it; else object, so the
-        sums run in Python ints."""
-        bound = math.prod(int(e[-1]) - int(e[0]) for e in self.edges) << self.dim
-        return np.int64 if bound <= np.iinfo(np.int64).max else object
-
     # derived summaries ------------------------------------------------
 
     def cell_total(self) -> int:
-        total = self.occ.astype(self.sum_dtype)
+        """The cell count, summed in int64 while the grid's volume, which
+        bounds it and every partial sum of it, fits there; else in Python
+        ints."""
+        bound = math.prod(int(e[-1]) - int(e[0]) for e in self.edges)
+        dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
+        total = self.occ.astype(dtype)
         for j in reversed(range(self.dim)):
-            w = self.widths(j).astype(self.sum_dtype)
+            w = self.widths(j).astype(dtype)
             total = np.tensordot(total, w, axes=([total.ndim - 1], [0]))
         return int(total)
 
     def degenerate_witness(self):
         """Lexicographically first scan point whose cone fails recognition,
-        or ``None``.  Slab interiors stand for runs of identical layers, so
-        the reported point is the first half-integer of its run."""
+        or ``None``.  Only a degenerate vertex-grid mask makes the full grid
+        be composed and searched.  Slab interiors stand for runs of
+        identical layers, so the reported point is the first half-integer
+        of its run."""
+        if not any(self.profiles[m].degenerate for m in self.vertex_masks):
+            return None
         bad = [
             i for i, m in enumerate(self.unique_masks) if self.profiles[m].degenerate
         ]
-        if not bad:
-            return None
-        hit = np.isin(self.inverse, bad)
-        flat = int(np.argmax(hit.reshape(-1)))
-        if not hit.reshape(-1)[flat]:
-            return None
-        idx = np.unravel_index(flat, self.inverse.shape)
-        return self.point_of(idx)
+        flat = int(np.argmax(np.isin(self.inverse, bad).reshape(-1)))
+        return self.point_of(np.unravel_index(flat, self.shape))
 
     @cached_property
     def vertex_entries(self) -> list:
         """(point, mask, profile) triples for all degree-0 points, in
         lexicographic order.  Degree-0 points lie on edges in every axis,
-        so only the all-odd positions are searched.  Degenerate degree-0
-        points are included so callers can report them."""
-        vertex = np.array([self.profiles[m].degree == 0 for m in self.unique_masks])
-        sub = self.inverse[(slice(1, None, 2),) * self.dim]
-        pos = np.argwhere(vertex[sub])
-        masks = [self.unique_masks[c] for c in sub[tuple(pos.T)].tolist()]
+        so they are read off the vertex grid.  Degenerate degree-0 points
+        are included so callers can report them."""
+        codes, table = self.vertex_codes, self.vertex_masks
+        vertex = np.array([self.profiles[m].degree == 0 for m in table])
+        pos = np.argwhere(vertex[codes])
+        masks = [table[c] for c in codes[tuple(pos.T)].tolist()]
         coords = [self.edges[j][pos[:, j] + 1].tolist() for j in range(self.dim)]
         return [(p, m, self.profiles[m]) for p, m in zip(zip(*coords), masks)]
 
@@ -701,9 +745,6 @@ def volume(P: IntegralOrthotope, method: VolumeMethod = VolumeMethod.MU_SUM) -> 
         raise ValueError(f"unknown volume method {method!r}")
     n = P.scale
     d = P.dim
-    if method is VolumeMethod.VOXEL_COUNT:
-        scan = _scan_for(P)
-        return Fraction(scan.cell_total(), n**d)
     if method is VolumeMethod.DETERMINANTAL:
         scan = _require_generic(P)
         total = Fraction(0)
@@ -713,26 +754,10 @@ def volume(P: IntegralOrthotope, method: VolumeMethod = VolumeMethod.MU_SUM) -> 
                 term *= Fraction(c, n)
             total += term
         return total if d % 2 == 0 else -total
-    scan = _require_generic(P)
-    dtype = scan.sum_dtype
-    mu = np.array([scan.profiles[m].mu_d for m in scan.unique_masks], dtype=dtype)
-    weights = []
-    for j in range(d):
-        w = np.ones(2 * len(scan.edges[j]) - 3, dtype=dtype)
-        w[0::2] = scan.widths(j) - 1
-        weights.append(w)
-    # Contract a block of axis-0 layers at a time, so the gathered values
-    # never take more room than one block.
-    inverse = scan.inverse
-    step = max(1, _VOLUME_BLOCK // (inverse.size // inverse.shape[0]))
-    total = 0
-    for start in range(0, inverse.shape[0], step):
-        acc = np.take(mu, inverse[start : start + step])
-        for j in reversed(range(d)):
-            w = weights[j][start : start + step] if j == 0 else weights[j]
-            acc = np.tensordot(acc, w, axes=([acc.ndim - 1], [0]))
-        total += int(acc)
-    return Fraction(total, (1 << d) * n**d)
+    # Each unit cell is an occupied orthant at each of its 2^d corners, so
+    # the mu_d sum over the integer points is 2^d times the cell count.
+    scan = _scan_for(P) if method is VolumeMethod.VOXEL_COUNT else _require_generic(P)
+    return Fraction(scan.cell_total(), n**d)
 
 
 def euler(P: IntegralOrthotope, method: EulerMethod = EulerMethod.SIGMA_SUM) -> int:
@@ -808,10 +833,10 @@ def _region_labels(scan: _Scan) -> np.ndarray:
     root they meet and pointer jumping flattens the trees, until no join
     crosses two trees (Shiloach and Vishkin, 1982).  A labelling whose
     bound ``_label_bytes`` passes the scan budget is refused unbuilt."""
-    inverse = scan.inverse
-    estimate = _label_bytes(inverse.shape)
+    estimate = _label_bytes(scan.shape)
     if estimate > _SCAN_BYTE_LIMIT:
-        raise ScanTooLargeError(inverse.size, estimate)
+        raise ScanTooLargeError(math.prod(scan.shape), estimate)
+    inverse = scan.inverse
     empty = scan.unique_masks.index(0)  # the padding puts exterior in every scan
     index = np.arange(inverse.size).reshape(inverse.shape)
     heads, tails = [], []
@@ -822,6 +847,7 @@ def _region_labels(scan: _Scan) -> np.ndarray:
         heads.append(index[lo][join])
         tails.append(index[hi][join])
     u, v = np.concatenate(heads), np.concatenate(tails)
+    del heads, tails
     parent = np.arange(inverse.size)
     while u.size:
         pu, pv = parent[u], parent[v]

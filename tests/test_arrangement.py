@@ -15,6 +15,7 @@ from orthotopes.arrangement import (
     FloralVertex,
     OrthantSet,
     SetOp,
+    _cofactor,
     combine,
     edge_cross_section,
     edge_direction,
@@ -338,6 +339,36 @@ def test_recognize_every_mask_up_to_dimension_four():
             else:
                 want = table.get(mask, DEGENERATE)
             assert recognize(OrthantSet(d, mask)) == want, (d, mask)
+
+
+def test_cofactors_of_floral_masks_are_floral():
+    # The classification scan decides genericity on the vertex grid alone:
+    # a slab interior's cone is a one-sided cofactor of the cone at the
+    # edge beside it, so no degenerate cone may hide among the cofactors
+    # of non-degenerate ones.  Read-once functions are closed under
+    # restriction (Golumbic, Mintz and Rotics 2006).
+    def cofactors(d, mask):
+        for pos in range(d):
+            for positive in (False, True):
+                yield _cofactor(mask, d, pos, positive)
+
+    checked = 0
+    for d in range(1, 5):
+        full = (1 << (1 << d)) - 1
+        for mask in [0, full, *_floral_table(d)]:
+            for cut in cofactors(d, mask):
+                assert recognize(OrthantSet(d, cut)) is not DEGENERATE, (d, mask, cut)
+            checked += 1
+    assert checked == 1260
+    rng = random.Random(61)
+    for d in range(5, 8):
+        for _ in range(40):
+            labels = list(range(1, d + 1))
+            if rng.random() < 0.3:
+                labels.remove(rng.choice(labels))
+            mask = orthants_of(_random_signed(rng, labels), d).mask
+            for cut in cofactors(d, mask):
+                assert recognize(OrthantSet(d, cut)) is not DEGENERATE, (d, mask, cut)
 
 
 def _oracle_masks(rng: random.Random, d: int) -> list[int]:

@@ -371,6 +371,22 @@ def test_mu_sum_matches_brute_point_scan():
         assert volume(P, VolumeMethod.MU_SUM) == Fraction(total, 4)
 
 
+def _reference_mu_sum(scan):
+    """The mu-sum volume summed position by position over the full doubled
+    grid, in Python integers: the mu_d of every position times the integer
+    points it stands for (w - 1 for a slab interior of width w, 1 for an
+    edge), over 2^d scale^d.  The library reads the same sum off the cell
+    count."""
+    d = scan.dim
+    mu = np.array([scan.profiles[m].mu_d for m in scan.unique_masks], dtype=object)
+    total = mu[scan.inverse]
+    for j in reversed(range(d)):
+        w = np.ones(scan.shape[j], dtype=object)
+        w[0::2] = [int(width) - 1 for width in scan.widths(j)]
+        total = np.tensordot(total, w, axes=([total.ndim - 1], [0]))
+    return Fraction(int(total), (1 << d) * scan.scale**d)
+
+
 def test_volume_and_cell_count_stay_exact_past_int64():
     # two unit cubes sharing an edge, thickened at bound 1/262144 as
     # ``orthotope genericize --bound 1/262144`` writes them: about 2^64 cells
@@ -387,8 +403,10 @@ def test_volume_and_cell_count_stay_exact_past_int64():
     for method in VolumeMethod:
         assert volume(P, method) == Fraction(cells, n**3)
     assert volume(P) == Fraction(1152925352901214209, 576460752303423488)
+    assert volume(P) == _reference_mu_sum(lattice._scan_for(P))
     square = from_boxes(2, [((0, 0), (2**40, 2**40))])
     assert all(volume(square, m) == 2**80 for m in VolumeMethod)
+    assert volume(square) == _reference_mu_sum(lattice._scan_for(square))
     assert square.cell_count() == 2**80
 
 
@@ -1042,6 +1060,14 @@ def _assert_codes_match_orthant_passes(P, rng, samples=6):
     assert len(set(scan.unique_masks)) == count
     assert np.array_equal(np.unique(scan.inverse), np.arange(count))
     assert scan.inverse.dtype == np.dtype(np.int16 if count <= 32767 else np.int32)
+    # the vertex grid holds the full grid's all-odd positions, and it too
+    # holds each mask once and uses every code
+    vertex = np.array(scan.vertex_masks, dtype=object)[scan.vertex_codes]
+    assert np.array_equal(vertex, decoded[(slice(1, None, 2),) * P.dim])
+    count = len(scan.vertex_masks)
+    assert len(set(scan.vertex_masks)) == count
+    assert np.array_equal(np.unique(scan.vertex_codes), np.arange(count))
+    assert scan.vertex_codes.dtype == np.dtype(np.int16 if count <= 32767 else np.int32)
     for _ in range(samples):
         idx = tuple(rng.randrange(s) for s in decoded.shape)
         cone = classify_point(P, scan.point_of(idx)).cone
@@ -1104,6 +1130,8 @@ def test_pair_table_fallback_gives_the_same_codes(monkeypatch):
         sorted_scan = _assert_codes_match_orthant_passes(P, rng)
         assert sorted_scan.unique_masks == scan.unique_masks
         assert np.array_equal(sorted_scan.inverse, scan.inverse)
+        assert sorted_scan.vertex_masks == scan.vertex_masks
+        assert np.array_equal(sorted_scan.vertex_codes, scan.vertex_codes)
 
 
 # Corner coordinates per axis for the property test below: every box
@@ -1174,8 +1202,19 @@ def test_scan_agrees_with_oracles_on_contact_unions(dim, data):
     census = vertex_census(P)
     assert census.by_class == by_class and census.by_mu == by_mu
     assert volume(P) == volume(P, VolumeMethod.DETERMINANTAL) == len(cells)
+    assert volume(P) == _reference_mu_sum(scan)
     assert euler(P) == cubical
     assert skeleton(P) == _reference_skeleton(P)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_vertex_grid_verdict_matches_the_full_resolution_scan(data):
+    # the verdict reads only the vertex grid; the full-resolution oracle
+    # searches every position, so a degenerate cone the vertex grid missed
+    # would show as a generic verdict here
+    P = _contact_union(data, 5)
+    assert check_generic(P) == _FullScan(P).verdict()
 
 
 def test_scan_over_budget_raises_before_allocating(monkeypatch):
@@ -1200,17 +1239,24 @@ def test_scan_over_budget_raises_before_allocating(monkeypatch):
 
 
 def test_scan_peak_matches_its_estimate():
-    P = random_generic(3, 30, 130, seed=1)
-    lattice._Scan(P)  # fill the mask-profile cache first
-    tracemalloc.start()
-    try:
-        scan = lattice._Scan(P)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert scan.inverse.dtype == np.int16
-    estimate = lattice._scan_bytes(scan.inverse.shape)
-    assert 0.9 * estimate <= peak <= 1.1 * estimate
+    # the estimate is the peak of composing the full grid beside the vertex
+    # grid; the vertex grid alone, all that a generic analyze builds, peaks
+    # well below it
+    for args in ((2, 300, 1210, 1), (3, 30, 130, 1), (4, 6, 34, 1)):
+        P = random_generic(*args)
+        lattice._Scan(P).inverse  # fill the mask-profile cache first
+        tracemalloc.start()
+        try:
+            scan = lattice._Scan(P)
+            _current, vertex_peak = tracemalloc.get_traced_memory()
+            scan.inverse
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scan.inverse.dtype == np.int16
+        estimate = lattice._scan_bytes(scan.inverse.shape)
+        assert vertex_peak < 0.6 * estimate, args
+        assert 0.9 * estimate <= peak <= 1.1 * estimate, args
 
 
 def test_label_bound_covers_the_labelling_peak():
@@ -1280,6 +1326,43 @@ def test_analyze_builds_one_scan(monkeypatch):
     assert P.cell_count() == 28 and volume(P, VolumeMethod.VOXEL_COUNT) == 28
     assert euler(P, EulerMethod.CUBICAL_COMPLEX) == 0
     assert built == [P]
+
+
+def test_only_face_poset_and_witnesses_compose_the_full_grid(monkeypatch, torus):
+    passes = []
+    original = lattice._compose_axis
+
+    def counting(codes, table, j):
+        passes.append(j)
+        return original(codes, table, j)
+
+    monkeypatch.setattr(lattice, "_compose_axis", counting)
+    models = [from_boxes(3, torus.boxes), unit_cube(7)] + [
+        random_generic(d, 6, 30, seed=1) for d in (1, 2, 3, 4)
+    ]
+    for P in models:
+        body, code = cli._report(P)
+        assert code == 0 and body["generic"]
+        vertices(P)
+        volume(P, VolumeMethod.VOXEL_COUNT)
+        euler(P, EulerMethod.CUBICAL_COMPLEX)
+    assert passes == []
+    P = models[0]
+    face_poset(P)
+    face_poset(P)
+    assert passes == [0, 1, 2]
+    Q = from_boxes(
+        3, [((0, 0, 0), (2, 2, 1)), ((0, 0, 1), (1, 1, 2)), ((1, 1, 1), (2, 2, 2))]
+    )
+    witness = check_generic(Q).witness
+    assert witness is not None and passes == [0, 1, 2] * 2
+    body, code = cli._report(Q)
+    assert code == cli.EXIT_NOT_GENERIC
+    for formula in (vertex_census, skeleton, volume, euler):
+        with pytest.raises(NotGenericError) as info:
+            formula(Q)
+        assert info.value.witness == witness
+    assert passes == [0, 1, 2] * 2
 
 
 def test_face_poset_reuses_the_cached_scan(monkeypatch):
