@@ -32,9 +32,12 @@ from .arrangement import (
     DEGENERATE,
     OrthantSet,
     SetOp,
+    _axis_signs,
+    _half_space_mask,
     _recognize,
     edge_direction,
     orthant_counts,
+    orthants_of,
 )
 from .spd import SignedSpd, bouquet, canonical_key
 
@@ -367,6 +370,7 @@ class _MaskProfile:
     is_vertex: bool
     class_key: str | None
     sigma: int
+    toward: tuple[int, ...] | None  # a vertex's edge direction on each axis
 
 
 @lru_cache(maxsize=1 << 20)
@@ -379,12 +383,56 @@ def _mask_profile(dim: int, mask: int) -> _MaskProfile:
     is_vertex = degree == 0 and not degenerate
     class_key = None
     sigma = 0
+    toward = None
     if is_vertex:
         assert isinstance(floral, SignedSpd)
         class_key = canonical_key(floral.shape)
         sigma = bouquet(floral.shape).sign
+        toward = tuple(edge_direction(floral, a) for a in range(1, dim + 1))
     return _MaskProfile(
-        mu_d, tau_d, essential, degree, floral, degenerate, is_vertex, class_key, sigma
+        mu_d, tau_d, essential, degree, floral, degenerate, is_vertex, class_key, sigma,
+        toward,
+    )
+
+
+def _mirrored(dim: int, mask: int, axes) -> int:
+    """``mask`` reflected in each of the 1-based ``axes``: the two halves
+    of the orthant table on either side of the axis swap."""
+    for a in axes:
+        step = 1 << (a - 1)
+        hi = _half_space_mask(dim, a - 1, True)
+        mask = ((mask & hi) >> step) | ((mask << step) & hi)
+    return mask
+
+
+def _vertex_profile(dim: int, mask: int, signs: Mapping[int, int]) -> _MaskProfile:
+    """The profile of a cone with every axis essential, ``signs`` being its
+    ``_axis_signs``, with one recognition per sign class.  A cone that is
+    not unate in some axis is degenerate, as ``_recognize`` decides.
+    Otherwise mirroring every negative-unate axis gives the monotone
+    representative of its class, and the cone is floral iff that is:
+    negating a literal keeps the diagram's shape, so the class key, the
+    bouquet sign and mu_d carry over, tau_d changes sign once per mirrored
+    axis, and on a mirrored axis so do the literal and the edge direction."""
+    neg = frozenset(a for a, s in signs.items() if s < 0)
+    rep = None
+    if 0 not in signs.values():
+        rep = _mask_profile(dim, _mirrored(dim, mask, neg))
+        if not neg:
+            return rep
+    if rep is None or rep.degenerate:
+        mu_d, tau_d = orthant_counts(OrthantSet(dim, mask))
+        return _MaskProfile(
+            mu_d, tau_d, tuple(signs), 0, DEGENERATE, True, False, None, 0, None
+        )
+    diagram = SignedSpd(rep.floral.shape, neg)
+    if orthants_of(diagram, dim).mask != mask:
+        raise ConsistencyError(f"sign class of mask {mask:#x} does not evaluate back")
+    toward = tuple(-t if a in neg else t for a, t in enumerate(rep.toward, 1))
+    tau_d = -rep.tau_d if len(neg) % 2 else rep.tau_d
+    return _MaskProfile(
+        rep.mu_d, tau_d, rep.essential, 0, diagram, False, True, rep.class_key,
+        rep.sigma, toward,
     )
 
 
@@ -555,16 +603,21 @@ class _Scan:
     interior of slab r//2 and odd r is the edge shared by slabs r//2 and
     r//2 + 1.  Every position gets the bit set of occupied orthants around
     the corresponding point, stored only as a code into a table of the
-    distinct masks; ``profiles`` holds the profile of every mask met.
+    distinct masks.
 
     The scan composes the codes of the vertex grid, the all-odd positions,
     one axis pass at a time (see ``_pair_axis``): ``vertex_codes`` into
     ``vertex_masks``.  They decide the verdict and give every vertex: a
     slab interior's cone is the cylinder over a one-sided cross-section of
     the cone at the edge beside it, and cross-sections of floral cones are
-    floral.  The codes of the whole grid, ``inverse`` into
-    ``unique_masks`` (see ``_compose_axis``), are composed on first use,
-    for ``face_poset`` and for the witness of a degenerate verdict."""
+    floral.  For the same reason a degenerate cylinder forces a degenerate
+    cone with every axis essential, so only those are recognized:
+    ``profiles`` maps each vertex-grid mask of degree 0 to its profile,
+    read off one recognition per sign class (see ``_vertex_profile``); any
+    other mask is only found to have an inessential axis.  The codes of
+    the whole grid, ``inverse`` into ``unique_masks`` (see
+    ``_compose_axis``), are composed on first use, for ``face_poset``
+    alone."""
 
     def __init__(self, P: IntegralOrthotope):
         self.dim = P.dim
@@ -580,14 +633,17 @@ class _Scan:
             codes, table = _pair_axis(codes, table, j)
         self.vertex_codes = codes
         self.vertex_masks = table
-        self.profiles = {m: _mask_profile(self.dim, m) for m in table}
+        self.profiles = {}
+        for m in table:
+            signs = _axis_signs(self.dim, m)
+            if len(signs) == self.dim:
+                self.profiles[m] = _vertex_profile(self.dim, m, signs)
 
     @cached_property
     def _full(self) -> tuple:
         codes, table = self.occ.view(np.int8), [0, 1]
         for j in range(self.dim):
             codes, table = _compose_axis(codes, table, j)
-        self.profiles.update({m: _mask_profile(self.dim, m) for m in table})
         return codes, table
 
     @property
@@ -628,18 +684,18 @@ class _Scan:
         return int(total)
 
     def degenerate_witness(self):
-        """Lexicographically first scan point whose cone fails recognition,
-        or ``None``.  Only a degenerate vertex-grid mask makes the full grid
-        be composed and searched.  Slab interiors stand for runs of
-        identical layers, so the reported point is the first half-integer
-        of its run."""
-        if not any(self.profiles[m].degenerate for m in self.vertex_masks):
+        """Lexicographically first point of the doubled grid whose cone
+        fails recognition, or ``None``; it is always a vertex, the first
+        degenerate entry of ``vertex_entries``.  A degenerate slab interior
+        makes the edge before it degenerate, since its cone is the cylinder
+        over a cross-section of that edge's cone.  A degenerate cone that
+        does not depend on axis j stays the same down axis j until the first
+        edge where the slabs beside it differ; that edge's cone has the same
+        upper cross-section, so it is degenerate and depends on axis j as
+        well.  Each step moves to a lexicographically smaller point."""
+        if not any(prof.degenerate for prof in self.profiles.values()):
             return None
-        bad = [
-            i for i, m in enumerate(self.unique_masks) if self.profiles[m].degenerate
-        ]
-        flat = int(np.argmax(np.isin(self.inverse, bad).reshape(-1)))
-        return self.point_of(np.unravel_index(flat, self.shape))
+        return next(p for p, _m, prof in self.vertex_entries if prof.degenerate)
 
     @cached_property
     def vertex_entries(self) -> list:
@@ -648,7 +704,7 @@ class _Scan:
         so they are read off the vertex grid.  Degenerate degree-0 points
         are included so callers can report them."""
         codes, table = self.vertex_codes, self.vertex_masks
-        vertex = np.array([self.profiles[m].degree == 0 for m in table])
+        vertex = np.array([m in self.profiles for m in table])
         pos = np.argwhere(vertex[codes])
         masks = [table[c] for c in codes[tuple(pos.T)].tolist()]
         coords = [self.edges[j][pos[:, j] + 1].tolist() for j in range(self.dim)]
@@ -799,12 +855,7 @@ def skeleton(P: IntegralOrthotope) -> SkeletonGraph:
     nodes = tuple((point, prof.tau_d) for point, _mask, prof in entries)
     tau = np.array([t for _point, t in nodes], dtype=np.int64)
     at = np.array(points, dtype=np.int64).reshape(-1, d)
-    toward = {
-        m: [edge_direction(p.floral, a) for a in range(1, d + 1)]
-        for m, p in scan.profiles.items()
-        if p.degree == 0
-    }
-    toward = np.array([toward[m] for _p, m, _q in entries], np.int64).reshape(-1, d)
+    toward = np.array([prof.toward for _p, _m, prof in entries], np.int64).reshape(-1, d)
     arcs = []
     for j in range(d):
         others = [at[:, k] for k in reversed(range(d)) if k != j]
@@ -877,7 +928,7 @@ def face_poset(P: IntegralOrthotope) -> FacePoset:
     pos = np.stack(np.unravel_index(inside, labels.shape), axis=-1)
     heads = np.stack(np.unravel_index(roots, labels.shape), axis=-1)
     masks = [scan.unique_masks[c] for c in scan.inverse.reshape(-1)[roots].tolist()]
-    profs = [scan.profiles[m] for m in masks]
+    profs = [_mask_profile(d, m) for m in masks]
     fixed_axes = np.array(
         [[a in p.essential for a in range(1, d + 1)] for p in profs], dtype=bool
     )[owner]

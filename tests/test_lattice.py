@@ -7,6 +7,7 @@ public point classifier, and cross-agreement between independently derived
 methods (three volume routes, two Euler routes, the compressed scan
 versus a test-side full-resolution scan)."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -21,7 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthotopes import cli, lattice
-from orthotopes.arrangement import DEGENERATE, Cylinder, SetOp
+from orthotopes.arrangement import (
+    DEGENERATE,
+    Cylinder,
+    OrthantSet,
+    SetOp,
+    _axis_signs,
+    edge_direction,
+    orthants_of,
+)
 from orthotopes.genericize import random_generic
 from orthotopes.lattice import (
     ConsistencyError,
@@ -46,6 +55,7 @@ from orthotopes.lattice import (
     volume,
 )
 from orthotopes.spd import canonical_key
+from test_arrangement import _oracle_masks, _random_signed
 
 TORUS_CELLS = [
     (0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (0, 1, 0), (1, 1, 0),
@@ -378,7 +388,9 @@ def _reference_mu_sum(scan):
     edge), over 2^d scale^d.  The library reads the same sum off the cell
     count."""
     d = scan.dim
-    mu = np.array([scan.profiles[m].mu_d for m in scan.unique_masks], dtype=object)
+    mu = np.array(
+        [lattice._mask_profile(d, m).mu_d for m in scan.unique_masks], dtype=object
+    )
     total = mu[scan.inverse]
     for j in reversed(range(d)):
         w = np.ones(scan.shape[j], dtype=object)
@@ -552,7 +564,7 @@ def _reference_skeleton(P):
     inessential, and join the vertex where the walk stops."""
     scan = lattice._require_generic(P)
     inverse = scan.inverse
-    profiles = [scan.profiles[m] for m in scan.unique_masks]
+    profiles = [lattice._mask_profile(P.dim, m) for m in scan.unique_masks]
     keep = [i for i, prof in enumerate(profiles) if prof.degree == 0]
     sub = inverse[(slice(1, None, 2),) * P.dim]
     vertex_positions = 2 * np.argwhere(np.isin(sub, keep)) + 1
@@ -608,7 +620,12 @@ def test_skeleton_matches_the_line_walk(torus):
 
 def test_skeleton_checks_edge_directions(torus, monkeypatch):
     assert len(skeleton(torus).arcs) == 48
-    monkeypatch.setattr(lattice, "edge_direction", lambda _vertex, _axis: 1)
+    scan = lattice._scan_for(torus)
+    forward = [
+        (point, mask, dataclasses.replace(prof, toward=(1, 1, 1)))
+        for point, mask, prof in scan.vertex_entries
+    ]
+    monkeypatch.setattr(scan, "vertex_entries", forward)
     with pytest.raises(ConsistencyError, match="edges point apart"):
         skeleton(torus)
 
@@ -1217,6 +1234,94 @@ def test_vertex_grid_verdict_matches_the_full_resolution_scan(data):
     assert check_generic(P) == _FullScan(P).verdict()
 
 
+def test_witness_is_the_first_degenerate_position_of_the_full_grid():
+    # corners from range(k) with 1-6 boxes, so boxes touch along faces,
+    # edges and corners; the witness is read off the vertex grid and must
+    # still be the first degenerate position of the full-resolution scan
+    rng = random.Random(4100)
+    plan = {1: (6, 40), 2: (6, 100), 3: (5, 60), 4: (4, 60), 5: (3, 40), 6: (3, 10)}
+    for d, (k, count) in plan.items():
+        degenerate = 0
+        for _ in range(count):
+            boxes = []
+            for _ in range(rng.randint(1, 6)):
+                spans = [sorted(rng.sample(range(k), 2)) for _ in range(d)]
+                boxes.append((tuple(a for a, _b in spans), tuple(b for _a, b in spans)))
+            P = from_boxes(d, boxes)
+            verdict = check_generic(P)
+            assert verdict == _FullScan(P).verdict(), (d, boxes)
+            degenerate += not verdict
+        assert degenerate >= (0 if d == 1 else 1 if d == 2 else count // 6), d
+
+
+def _assert_class_profile_is_direct(d, mask):
+    """For a mask with every axis essential, the profile the scan derives
+    from its sign class equals direct recognition, edge directions
+    included; returns that profile, or ``None`` for any other mask."""
+    signs = _axis_signs(d, mask)
+    if len(signs) < d:
+        return None
+    derived = lattice._vertex_profile(d, mask, signs)
+    direct = lattice._mask_profile(d, mask)
+    assert derived == direct, (d, mask)
+    if direct.is_vertex:
+        toward = tuple(edge_direction(direct.floral, a) for a in range(1, d + 1))
+        assert derived.toward == toward, (d, mask)
+    return direct
+
+
+def test_sign_class_profiles_match_direct_recognition_up_to_dimension_four():
+    for d in range(1, 5):
+        found = {m: _assert_class_profile_is_direct(d, m) for m in range(1 << (1 << d))}
+        found = {m: prof for m, prof in found.items() if prof is not None}
+        assert all(prof.degree == 0 for prof in found.values())
+        # floral masks are met, from d = 2 masks not unate in some axis, and
+        # from d = 3 unate ones that are not read-once, such as majority
+        assert any(prof.is_vertex for prof in found.values())
+        unate = {m: 0 not in _axis_signs(d, m).values() for m in found}
+        assert (d >= 2) == any(p.degenerate and not unate[m] for m, p in found.items())
+        assert (d >= 3) == any(p.degenerate and unate[m] for m, p in found.items())
+
+
+def test_sign_class_profiles_match_direct_recognition_in_dimensions_5_to_8():
+    rng = random.Random(4200)
+    for d in range(5, 9):
+        masks = [
+            orthants_of(_random_signed(rng, list(range(1, d + 1))), d).mask
+            for _ in range(12)
+        ]
+        masks += _oracle_masks(rng, d) + [rng.getrandbits(1 << d) for _ in range(4)]
+        found = [_assert_class_profile_is_direct(d, m) for m in masks]
+        vertices_met = [p for p in found if p is not None and p.is_vertex]
+        assert len(vertices_met) >= 12 and any(p.floral.neg for p in vertices_met)
+        # a unate cone that is not read-once mirrors to a degenerate class
+        assert any(
+            p is not None and p.degenerate and 0 not in _axis_signs(d, m).values()
+            for m, p in zip(masks, found)
+        ), d
+
+
+def test_scan_recognizes_only_sign_class_representatives(monkeypatch):
+    recognized = []
+    original = lattice._recognize
+
+    def counting(orthants):
+        recognized.append(orthants)
+        return original(orthants)
+
+    monkeypatch.setattr(lattice, "_recognize", counting)
+    lattice._mask_profile.cache_clear()
+    # the cube's 2^8 corners are one sign class, its positive orthant
+    body, code = cli._report(unit_cube(8))
+    assert code == 0 and body["census_by_class"] and len(recognized) == 1
+    assert recognized[0] == OrthantSet(8, 1 << 255)
+    recognized.clear()
+    scan = lattice._Scan(random_generic(5, 8, 42, seed=1))
+    assert len(scan.profiles) < len(scan.vertex_masks)  # cylinders were met
+    assert 0 < len(recognized) < len(scan.profiles)
+    assert all(len(orthants.essential_axes()) == 5 for orthants in recognized)
+
+
 def test_scan_over_budget_raises_before_allocating(monkeypatch):
     boxes = [((0, 0, 0), (2, 2, 1)), ((1, 1, 1), (3, 3, 2))]
     P = from_boxes(3, boxes)
@@ -1329,6 +1434,10 @@ def test_analyze_builds_one_scan(monkeypatch):
 
 
 def test_only_face_poset_and_witnesses_compose_the_full_grid(monkeypatch, torus):
+    """Only ``face_poset`` composes the full doubled grid, once per scan.
+    The witness of a degenerate verdict is read off the vertex grid, so
+    neither ``check_generic`` nor the formulas that raise with the witness
+    compose it."""
     passes = []
     original = lattice._compose_axis
 
@@ -1355,14 +1464,14 @@ def test_only_face_poset_and_witnesses_compose_the_full_grid(monkeypatch, torus)
         3, [((0, 0, 0), (2, 2, 1)), ((0, 0, 1), (1, 1, 2)), ((1, 1, 1), (2, 2, 2))]
     )
     witness = check_generic(Q).witness
-    assert witness is not None and passes == [0, 1, 2] * 2
+    assert witness is not None and passes == [0, 1, 2]
     body, code = cli._report(Q)
     assert code == cli.EXIT_NOT_GENERIC
     for formula in (vertex_census, skeleton, volume, euler):
         with pytest.raises(NotGenericError) as info:
             formula(Q)
         assert info.value.witness == witness
-    assert passes == [0, 1, 2] * 2
+    assert passes == [0, 1, 2]
 
 
 def test_face_poset_reuses_the_cached_scan(monkeypatch):
