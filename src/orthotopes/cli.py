@@ -9,7 +9,8 @@ order, fixed indentation, one trailing newline.
 
 Exit codes: 0 success, 2 malformed input, 3 input not generic where a
 formula requires it, 4 internal consistency failure, 5 model too large to
-scan within the memory budget.
+scan within the memory budget, or output of more unit cells than the cell
+limit.
 """
 
 from __future__ import annotations

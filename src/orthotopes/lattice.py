@@ -33,6 +33,7 @@ from .arrangement import (
     OrthantSet,
     SetOp,
     _axis_signs,
+    _cofactor,
     _half_space_mask,
     _recognize,
     edge_direction,
@@ -52,6 +53,7 @@ __all__ = [
     "PointClass",
     "ScanTooLargeError",
     "SkeletonGraph",
+    "TooManyCellsError",
     "VertexCensus",
     "VolumeMethod",
     "check_generic",
@@ -108,6 +110,22 @@ class ScanTooLargeError(MemoryError):
         super().__init__(
             f"scan of {positions} positions needs about {estimate} bytes, "
             f"over the budget of {_SCAN_BYTE_LIMIT}"
+        )
+
+
+class TooManyCellsError(ScanTooLargeError):
+    """Raised before more than ``_CELL_LIMIT`` unit cells are materialized,
+    by ``IntegralOrthotope.cells`` or ``face_poset``.  A refusal of an
+    output too large to list, not a fault of the library or the input:
+    the box form holds such a model.  ``cells`` is the count refused; a
+    scan's ``positions`` and ``estimate`` are not set."""
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        MemoryError.__init__(
+            self,
+            f"refusing to materialize about {cells} cells; "
+            "use the box form for instances of this size",
         )
 
 
@@ -301,10 +319,7 @@ class IntegralOrthotope:
 def _check_cell_total(total: int) -> None:
     """Refuse to materialize more than ``_CELL_LIMIT`` unit cells."""
     if total > _CELL_LIMIT:
-        raise ConsistencyError(
-            f"refusing to materialize about {total} cells; "
-            "use the box form for instances of this size"
-        )
+        raise TooManyCellsError(total)
 
 
 def _validate_header(dim, scale):
@@ -483,16 +498,14 @@ def _canonical_occupancy(P: IntegralOrthotope):
 def _scan_bytes(shape: tuple) -> int:
     """Estimated peak bytes of a scan over a doubled grid of this shape with
     2-byte codes, the full grid included.  The peak is the last axis pass of
-    the full grid: beside the 1-byte slab occupancy and the vertex grid's
-    2-byte codes it holds the previous pass's codes, the new codes, and for
-    each edge position a 4-byte pair code and a 2-byte gathered code (see
-    ``_compose_axis``)."""
+    the full grid (see ``_expand_axis``): beside the 1-byte slab occupancy
+    and the vertex grid's codes it holds the previous pass's codes, their
+    slab codes gathered from the lookup, and the new codes."""
     positions = math.prod(shape)
-    previous = positions // shape[-1] * ((shape[-1] + 1) // 2)
-    edges = positions - previous
+    previous = positions // shape[-1] * ((shape[-1] - 1) // 2)
     occupancy = math.prod((n + 1) // 2 for n in shape)
     vertex = math.prod((n - 1) // 2 for n in shape)
-    return occupancy + 2 * vertex + 2 * previous + 2 * positions + 6 * edges
+    return occupancy + 2 * vertex + 4 * previous + 2 * positions
 
 
 def _label_bytes(shape: tuple) -> int:
@@ -510,33 +523,21 @@ def _code_dtype(count: int):
     return np.int16 if count <= np.iinfo(np.int16).max else np.int32
 
 
-def _edge_pairs(codes: np.ndarray, k: int, j: int, dtype) -> np.ndarray:
-    """The pair code hi * k + lo of the two slabs beside each edge along
-    axis j, from their codes into a table of k masks."""
-    head = (slice(None),) * j
-    pair = codes[head + (slice(1, None),)].astype(dtype)
-    pair *= k
-    pair += codes[head + (slice(None, -1),)]
-    return pair
-
-
-def _hash_cons(pair: np.ndarray, size: int, number):
+def _hash_cons(pair: np.ndarray, size: int):
     """The distinct values of ``pair``, all below ``size``, in increasing
-    order, and ``pair`` with every value replaced by its code, where
-    ``number(used)`` gives the codes of the distinct values in that order.
+    order, and ``pair`` with every value replaced by its rank among them.
     As in the unique table of reduced ordered BDDs (Bryant, IEEE Trans.
     Computers, 1986), a dense presence table of the ``size`` values finds
     them, so no sort is needed; past ``_PAIR_TABLE_LIMIT`` values
     ``np.unique`` finds them instead."""
     if size > _PAIR_TABLE_LIMIT:
         used, inverse = np.unique(pair.reshape(-1), return_inverse=True)
-        return used, number(used)[inverse].reshape(pair.shape)
+        return used, inverse.astype(_code_dtype(len(used))).reshape(pair.shape)
     present = np.zeros(size, dtype=bool)
     present[pair] = True
     used = np.flatnonzero(present)
-    code = number(used)
-    rank = np.zeros(size, dtype=code.dtype)
-    rank[used] = code
+    rank = np.zeros(size, dtype=_code_dtype(len(used)))
+    rank[used] = np.arange(len(used))
     return used, rank[pair]
 
 
@@ -550,46 +551,36 @@ def _pair_axis(codes: np.ndarray, table: list, j: int):
     the pair code hi * K + lo, K = len(table).  The pairs found are coded
     0, 1, ... in pair order, so every code is used."""
     k = len(table)
-    pair = _edge_pairs(codes, k, j, np.intp)
-    used, out = _hash_cons(
-        pair, k * k, lambda used: np.arange(len(used), dtype=_code_dtype(len(used)))
-    )
+    head = (slice(None),) * j
+    pair = codes[head + (slice(1, None),)].astype(np.intp)
+    pair *= k
+    pair += codes[head + (slice(None, -1),)]
+    used, out = _hash_cons(pair, k * k)
     shift = 1 << j
     return out, [(table[p // k] << shift) | table[p % k] for p in used.tolist()]
 
 
-def _compose_axis(codes: np.ndarray, table: list, j: int):
-    """One axis pass of the full doubled grid: as ``_pair_axis``, but axis j
-    is doubled into positions, the slab interiors interleaved with the
-    edges.  A slab interior has the same slab on both sides, so pair (c, c)
-    keeps code c; the pairs first seen on edges get codes K, K+1, ... in
-    pair order."""
-    k = len(table)
-    pair = _edge_pairs(
-        codes, k, j, np.int32 if k * k <= np.iinfo(np.int32).max else np.int64
-    )
+def _expand_axis(codes: np.ndarray, table: list, dim: int, j: int):
+    """One axis pass from the vertex grid to the full doubled grid: the
+    edges of axis j, coded into ``table``, are interleaved with the slab
+    interiors beside them.  Slab k's cone is the cylinder over the lo side
+    of the cone on edge k, the edge between slabs k and k+1, and the last
+    slab, the padding, is empty, so the slab codes are read off one lookup
+    entry per code.  Masks first met
+    there get codes K, K+1, ..., so every mask is held once and every code
+    is used."""
+    code = {m: c for c, m in enumerate(table)}
+    lo = [code.setdefault(_cofactor(m, dim, j, False), len(code)) for m in table]
+    exterior = code.setdefault(0, len(code))
+    dtype = _code_dtype(len(code))
     head = (slice(None),) * j
     shape = list(codes.shape)
-    shape[j] = 2 * shape[j] - 1
-
-    def number(used):
-        same = used % (k + 1) == 0
-        fresh = len(used) - int(same.sum())
-        code = np.empty(len(used), dtype=_code_dtype(k + fresh))
-        code[same] = used[same] // (k + 1)
-        code[~same] = np.arange(k, k + fresh)
-        return code
-
-    used, gathered = _hash_cons(pair, k * k, number)
-    out = np.empty(shape, dtype=gathered.dtype)
-    out[head + (slice(0, None, 2),)] = codes
-    out[head + (slice(1, None, 2),)] = gathered
-    shift = 1 << j
-    table = [(m << shift) | m for m in table] + [
-        (table[p // k] << shift) | table[p % k]
-        for p in used[used % (k + 1) != 0].tolist()
-    ]
-    return out, table
+    shape[j] = 2 * shape[j] + 1
+    out = np.empty(shape, dtype=dtype)
+    out[head + (slice(1, None, 2),)] = codes
+    out[head + (slice(0, -1, 2),)] = np.array(lo, dtype=dtype)[codes]
+    out[head + (-1,)] = exterior
+    return out, list(code)
 
 
 class _Scan:
@@ -615,9 +606,10 @@ class _Scan:
     ``profiles`` maps each vertex-grid mask of degree 0 to its profile,
     read off one recognition per sign class (see ``_vertex_profile``); any
     other mask is only found to have an inessential axis.  The codes of
-    the whole grid, ``inverse`` into ``unique_masks`` (see
-    ``_compose_axis``), are composed on first use, for ``face_poset``
-    alone."""
+    the whole grid, ``inverse`` into ``unique_masks``, are derived from the
+    vertex grid on first use, for ``face_poset`` alone: one pass per axis
+    interleaves the edges with the slab interiors, each coded as the
+    cylinder over one side of the edge after it (see ``_expand_axis``)."""
 
     def __init__(self, P: IntegralOrthotope):
         self.dim = P.dim
@@ -641,9 +633,9 @@ class _Scan:
 
     @cached_property
     def _full(self) -> tuple:
-        codes, table = self.occ.view(np.int8), [0, 1]
+        codes, table = self.vertex_codes, self.vertex_masks
         for j in range(self.dim):
-            codes, table = _compose_axis(codes, table, j)
+            codes, table = _expand_axis(codes, table, self.dim, j)
         return codes, table
 
     @property
@@ -796,7 +788,10 @@ def sigma_sum(P: IntegralOrthotope) -> int:
 
 
 def volume(P: IntegralOrthotope, method: VolumeMethod = VolumeMethod.MU_SUM) -> Fraction:
-    """Exact volume of the true point set ``(1/scale) * cells``."""
+    """Exact volume of the true point set ``(1/scale) * cells``.  There are
+    two routes: ``DETERMINANTAL`` sums tau_d times the coordinate product
+    over the vertices, and ``MU_SUM`` and ``VOXEL_COUNT`` both return the
+    scan's cell count, ``VOXEL_COUNT`` without the genericity check."""
     if not isinstance(method, VolumeMethod):
         raise ValueError(f"unknown volume method {method!r}")
     n = P.scale

@@ -196,6 +196,15 @@ def test_scan_over_budget_exits_5(monkeypatch, capsys):
     assert "10000000000 bytes" in capsys.readouterr().err
 
 
+def test_too_many_cells_exits_5(tmp_path, capsys):
+    # 9 million cells is past the cell limit: a large output, not a bug
+    path = _write(tmp_path, "square.json", {"dim": 2, "boxes": [[[0, 0], [3000, 3000]]]})
+    assert main(["render2d", path]) == EXIT_TOO_LARGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("too large: refusing to materialize about 9000000 cells")
+
+
 def test_volume_and_euler_commands(tmp_path, capsys):
     for method, expected in (
         ("musum", "28"),
