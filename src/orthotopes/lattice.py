@@ -498,9 +498,14 @@ def _canonical_occupancy(P: IntegralOrthotope):
 def _scan_bytes(shape: tuple) -> int:
     """Estimated peak bytes of a scan over a doubled grid of this shape with
     2-byte codes, the full grid included.  The peak is the last axis pass of
-    the full grid (see ``_expand_axis``): beside the 1-byte slab occupancy
-    and the vertex grid's codes it holds the previous pass's codes, their
-    slab codes gathered from the lookup, and the new codes."""
+    the full grid (see ``_expand_axis``): it holds the previous pass's
+    codes, their slab codes gathered from the lookup and the new codes,
+    beside the 1-byte slab occupancy and the vertex runs, charged at 2
+    bytes per vertex-grid position: a run takes 8 bytes and a code, and
+    runs are far fewer than positions except on small grids.  The run scan
+    alone, all that ``analyze`` builds, peaks well below this: beside the
+    occupancy it holds a 1-byte run-start mask per slab and arrays per
+    run."""
     positions = math.prod(shape)
     previous = positions // shape[-1] * ((shape[-1] - 1) // 2)
     occupancy = math.prod((n + 1) // 2 for n in shape)
@@ -519,8 +524,11 @@ def _label_bytes(shape: tuple) -> int:
     return 33 * positions + 65 * joins + (1 << 16)
 
 
+_INT16_MAX = np.iinfo(np.int16).max
+
+
 def _code_dtype(count: int):
-    return np.int16 if count <= np.iinfo(np.int16).max else np.int32
+    return np.int16 if count <= _INT16_MAX else np.int32
 
 
 def _hash_cons(pair: np.ndarray, size: int):
@@ -535,29 +543,109 @@ def _hash_cons(pair: np.ndarray, size: int):
         return used, inverse.astype(_code_dtype(len(used))).reshape(pair.shape)
     present = np.zeros(size, dtype=bool)
     present[pair] = True
-    used = np.flatnonzero(present)
+    used = present.nonzero()[0]
     rank = np.zeros(size, dtype=_code_dtype(len(used)))
     rank[used] = np.arange(len(used))
     return used, rank[pair]
 
 
-def _pair_axis(codes: np.ndarray, table: list, j: int):
-    """One axis pass of the vertex grid, on codes into ``table``, the masks
-    seen so far.  Entry codes index masks in which bit s < 2^j is the
-    occupancy of the neighbouring cell on the hi side of axis i when bit i
-    of s is set and on the lo side otherwise.  The pass replaces the slabs
-    of axis j by the edges between them: an edge's mask is the mask of its
-    hi slab shifted up by 2^j over that of its lo slab, so it is fixed by
-    the pair code hi * K + lo, K = len(table).  The pairs found are coded
-    0, 1, ... in pair order, so every code is used."""
+def _row_runs(occ: np.ndarray):
+    """The occupancy as runs along the last axis: the C-order flat index of
+    the first slab of each run, every row's first slab included, and the
+    run's occupancy as code 0 or 1."""
+    flat = occ.reshape(-1, occ.shape[-1]).view(np.int8)
+    change = np.empty(flat.shape, dtype=bool)
+    change[:, 0] = True
+    np.not_equal(flat[:, 1:], flat[:, :-1], out=change[:, 1:])
+    keys = change.reshape(-1).nonzero()[0]
+    return keys, flat.reshape(-1)[keys]
+
+
+def _run_ends(keys: np.ndarray, size: int) -> np.ndarray:
+    """The flat position after each run of ``keys`` over ``size``
+    positions: the next run's start, or ``size`` after the last run."""
+    ends = np.empty_like(keys)
+    ends[:-1] = keys[1:]
+    ends[-1] = size
+    return ends
+
+
+def _pair_codes(pair: np.ndarray, table: list, j: int):
+    """Code the edges of axis j whose pair codes are ``pair``.  Table codes
+    index masks in which bit s < 2^j is the occupancy of the neighbouring
+    cell on the hi side of axis i when bit i of s is set and on the lo side
+    otherwise.  An edge of axis j has the mask of its hi slab shifted up by
+    2^j over that of its lo slab, so it is fixed by the pair code
+    hi * K + lo, K = len(table).  The pairs found are coded 0, 1, ... in
+    pair order, so every code is used."""
     k = len(table)
-    head = (slice(None),) * j
-    pair = codes[head + (slice(1, None),)].astype(np.intp)
-    pair *= k
-    pair += codes[head + (slice(None, -1),)]
     used, out = _hash_cons(pair, k * k)
     shift = 1 << j
     return out, [(table[p // k] << shift) | table[p % k] for p in used.tolist()]
+
+
+def _pair_rows(keys: np.ndarray, codes: np.ndarray, size: int, step: int, table, j):
+    """One axis pass of the vertex scan on an axis j before the last, on
+    runs (see ``_Scan``) over ``size`` flat positions.  Rows keep their
+    numbering: position f, between lo slab f and hi slab f + ``step``,
+    becomes the edge after the lo slab, for f < size - step.  A row whose
+    index is the last slab of a paired axis, or of axis j, pairs padding
+    with padding, code 0 with code 0, as the first slab of every row does
+    (see ``_pair_last``).  An edge row changes only where one of its two
+    slab rows does, so its runs start at the merged starts of the two and
+    stay maximal."""
+    lo = np.searchsorted(keys, size - step)
+    hi = np.searchsorted(keys, step)
+    both = np.concatenate((keys[:lo], keys[hi:] - step))
+    order = np.argsort(both, kind="stable")  # a linear merge of two sorted halves
+    merged = both[order]
+    last = np.empty(len(merged), dtype=bool)
+    last[-1] = True
+    np.not_equal(merged[1:], merged[:-1], out=last[:-1])
+    at = last.nonzero()[0]
+    # At the last of equal starts, at - 1 runs precede on the two sides
+    # together, and the side the start came from gives its own index.
+    came = order[at]
+    lo_run = np.where(came < lo, came, at + (lo - 1) - came)
+    pair = codes[hi - 1 + at - lo_run].astype(np.intp)
+    pair *= len(table)
+    pair += codes[lo_run]
+    out, table = _pair_codes(pair, table, j)
+    return merged[at], out, table
+
+
+def _pair_last(keys: np.ndarray, codes: np.ndarray, size: int, shape: tuple, table):
+    """The last axis pass of the vertex scan, on runs over ``size`` flat
+    positions of the slab grid of ``shape``, every axis but the last
+    already paired.  A row whose index on a paired axis is its last slab
+    paired padding with padding; it is dropped, and the others numbered
+    as in the vertex grid.  Along a row, the edges inside a run of code c
+    get the pair (c, c), and the edge after it (next, c), which differs
+    from both of its neighbours."""
+    width, rows = shape[-1], shape[:-1]
+    vertex_row = np.full(rows, -1)
+    vertex_row[tuple(slice(n - 1) for n in rows)] = np.arange(
+        math.prod(n - 1 for n in rows)
+    ).reshape([n - 1 for n in rows])
+    vertex_row = vertex_row.reshape(-1)
+    row = keys // width
+    ends = _run_ends(keys, size)
+    # from slab-grid to vertex-grid positions along each run's row
+    shift = (vertex_row * (width - 1) - np.arange(len(vertex_row)) * width)[row]
+    used = np.empty(2 * len(keys), dtype=bool)
+    used[0::2] = (ends - keys > 1) & (vertex_row[row] >= 0)
+    used[1:-1:2] = row[1:] == row[:-1]
+    used[-1] = False
+    at = np.empty(2 * len(keys), dtype=np.intp)
+    np.add(keys, shift, out=at[0::2])
+    np.add(ends - 1, shift, out=at[1::2])
+    code = codes.astype(np.intp)
+    pair = np.empty(2 * len(keys), dtype=np.intp)
+    np.multiply(code, len(table) + 1, out=pair[0::2])
+    pair[1:-1:2] = code[1:] * len(table) + code[:-1]
+    used = used.nonzero()[0]
+    out, table = _pair_codes(pair[used], table, len(shape) - 1)
+    return at[used], out, table
 
 
 def _expand_axis(codes: np.ndarray, table: list, dim: int, j: int):
@@ -597,17 +685,28 @@ class _Scan:
     distinct masks.
 
     The scan composes the codes of the vertex grid, the all-odd positions,
-    one axis pass at a time (see ``_pair_axis``): ``vertex_codes`` into
-    ``vertex_masks``.  They decide the verdict and give every vertex: a
-    slab interior's cone is the cylinder over a one-sided cross-section of
-    the cone at the edge beside it, and cross-sections of floral cones are
-    floral.  For the same reason a degenerate cylinder forces a degenerate
-    cone with every axis essential, so only those are recognized:
-    ``profiles`` maps each vertex-grid mask of degree 0 to its profile,
-    read off one recognition per sign class (see ``_vertex_profile``); any
-    other mask is only found to have an inessential axis.  The codes of
-    the whole grid, ``inverse`` into ``unique_masks``, are derived from the
-    vertex grid on first use, for ``face_poset`` alone: one pass per axis
+    as runs along the last axis: ``vertex_runs`` holds the C-order flat
+    index of the first position of each maximal run, the first of every
+    row included, and the run's code into ``vertex_masks``.  It starts from
+    the runs of the slab occupancy, codes 0 and 1, and pairs one axis at a
+    time, as Bentley's sweep for Klee's measure problem keeps its
+    cross-sections: on an axis before the last, each row pairs with the row
+    after it by merging their run starts (see ``_pair_rows``); on the last
+    axis, each run with its successor (see ``_pair_last``).  Each pass
+    hash-conses its pairs (see ``_pair_codes``), so the codes are those of
+    a dense pass, and its work grows with the runs, which change only at
+    the boundary, not with the grid's volume; only the run starts of the
+    occupancy are found by one pass over it.  The runs decide the verdict
+    and give every vertex: a slab interior's cone is the cylinder over a
+    one-sided cross-section of the cone at the edge beside it, and
+    cross-sections of floral cones are floral.  For the same reason a
+    degenerate cylinder forces a degenerate cone with every axis
+    essential, so only those are recognized: ``profiles`` maps each
+    vertex-grid mask of degree 0 to its profile, read off one recognition
+    per sign class (see ``_vertex_profile``); any other mask is only found
+    to have an inessential axis.  The codes of the whole grid, ``inverse``
+    into ``unique_masks``, are derived for ``face_poset`` alone, on first
+    use, from the vertex grid's dense ``vertex_codes``: one pass per axis
     interleaves the edges with the slab interiors, each coded as the
     cylinder over one side of the edge after it (see ``_expand_axis``)."""
 
@@ -616,20 +715,34 @@ class _Scan:
         self.scale = P.scale
         self.edges = _slab_edges(P)
         self.shape = tuple(2 * len(e) - 3 for e in self.edges)
+        self.vertex_shape = tuple(len(e) - 2 for e in self.edges)
         estimate = _scan_bytes(self.shape)
         if estimate > _SCAN_BYTE_LIMIT:
             raise ScanTooLargeError(math.prod(self.shape), estimate)
         self.occ = _occupancy(P, self.edges)
-        codes, table = self.occ.view(np.int8), [0, 1]
-        for j in range(self.dim):
-            codes, table = _pair_axis(codes, table, j)
-        self.vertex_codes = codes
+        (keys, codes), table = _row_runs(self.occ), [0, 1]
+        size, step = self.occ.size, self.occ.size
+        for j, n in enumerate(self.occ.shape[:-1]):
+            step //= n
+            keys, codes, table = _pair_rows(keys, codes, size, step, table, j)
+            size -= step
+        keys, codes, table = _pair_last(keys, codes, size, self.occ.shape, table)
+        self.vertex_runs = keys, codes
         self.vertex_masks = table
         self.profiles = {}
         for m in table:
             signs = _axis_signs(self.dim, m)
             if len(signs) == self.dim:
                 self.profiles[m] = _vertex_profile(self.dim, m, signs)
+
+    @property
+    def vertex_codes(self) -> np.ndarray:
+        """The vertex grid's codes, expanded from ``vertex_runs`` on each
+        access; the full grid is derived from them, and is all that reads
+        them, so they are not kept."""
+        keys, codes = self.vertex_runs
+        ends = _run_ends(keys, math.prod(self.vertex_shape))
+        return np.repeat(codes, ends - keys).reshape(self.vertex_shape)
 
     @cached_property
     def _full(self) -> tuple:
@@ -664,16 +777,28 @@ class _Scan:
     # derived summaries ------------------------------------------------
 
     def cell_total(self) -> int:
-        """The cell count, summed in int64 while the grid's volume, which
-        bounds it and every partial sum of it, fits there; else in Python
-        ints."""
+        """The cell count.  Every slab but the first on each axis is the
+        all-hi neighbour of the vertex before it, so the occupied slabs are
+        the all-hi orthants of the vertex cones, and each run of cones that
+        hold it adds its slabs' width along the last axis times the volume
+        of its row's slabs.  The last vertex of a row has padding there, so
+        such a run never ends its row.  Summed in int64 while the grid's
+        volume, which bounds the count and every partial sum of it, fits
+        there; else in Python ints."""
         bound = math.prod(int(e[-1]) - int(e[0]) for e in self.edges)
         dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
-        total = self.occ.astype(dtype)
-        for j in reversed(range(self.dim)):
-            w = self.widths(j).astype(dtype)
-            total = np.tensordot(total, w, axes=([total.ndim - 1], [0]))
-        return int(total)
+        (keys, codes), top = self.vertex_runs, (1 << self.dim) - 1
+        held = np.array([m >> top for m in self.vertex_masks], dtype=bool)
+        run = held[codes].nonzero()[0]
+        start, end = keys[run], keys[run + 1]
+        width = self.vertex_shape[-1]
+        row = start // width
+        last = self.edges[-1][1:].astype(dtype)
+        slabs = last[end - row * width] - last[start - row * width]
+        volume = np.ones(1, dtype=dtype)
+        for j in range(self.dim - 1):
+            volume = np.multiply.outer(volume, self.widths(j)[1:].astype(dtype)).reshape(-1)
+        return int((slabs * volume[row]).sum())
 
     def degenerate_witness(self):
         """Lexicographically first point of the doubled grid whose cone
@@ -693,13 +818,22 @@ class _Scan:
     def vertex_entries(self) -> list:
         """(point, mask, profile) triples for all degree-0 points, in
         lexicographic order.  Degree-0 points lie on edges in every axis,
-        so they are read off the vertex grid.  Degenerate degree-0 points
-        are included so callers can report them."""
-        codes, table = self.vertex_codes, self.vertex_masks
+        so they are read off the vertex runs.  A degree-0 cone depends on
+        the last axis, so it differs from both of its neighbours along it
+        and its run is a single point.  Degenerate degree-0 points are
+        included so callers can report them."""
+        (keys, codes), table = self.vertex_runs, self.vertex_masks
+        shape = self.vertex_shape
         vertex = np.array([m in self.profiles for m in table])
-        pos = np.argwhere(vertex[codes])
-        masks = [table[c] for c in codes[tuple(pos.T)].tolist()]
-        coords = [self.edges[j][pos[:, j] + 1].tolist() for j in range(self.dim)]
+        hit = vertex[codes].nonzero()[0]
+        at = keys[hit]
+        wide = (_run_ends(keys, math.prod(shape))[hit] - at != 1).nonzero()[0]
+        if len(wide):
+            point = self.point_of(2 * np.array(np.unravel_index(at[wide[0]], shape)) + 1)
+            raise ConsistencyError(f"vertex run at {point} is longer than one point")
+        masks = [table[c] for c in codes[hit].tolist()]
+        pos = np.unravel_index(at, shape)
+        coords = [self.edges[j][pos[j] + 1].tolist() for j in range(self.dim)]
         return [(p, m, self.profiles[m]) for p, m in zip(zip(*coords), masks)]
 
 

@@ -14,6 +14,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -1169,6 +1170,7 @@ def test_pair_table_fallback_gives_the_same_codes(monkeypatch):
         assert np.array_equal(sorted_scan.vertex_codes, scan.vertex_codes)
 
 
+
 # Corner coordinates per axis for the property test below: every box
 # corner comes from range(k), so boxes overlap, touch along faces and meet
 # at edges and corners.  With these pools 8% (d = 2) to 55% (d = 4) of the
@@ -1272,6 +1274,84 @@ def test_witness_is_the_first_degenerate_position_of_the_full_grid():
         assert degenerate >= (0 if d == 1 else 1 if d == 2 else count // 6), d
 
 
+def _pair_axis(codes, table, j):
+    """Dense reference of one vertex-scan axis pass, on codes into
+    ``table`` at every position: each edge of axis j gets the pair code
+    hi * K + lo of the slabs beside it, and the pairs found are coded in
+    pair order, as the library's run passes code them."""
+    k = len(table)
+    head = (slice(None),) * j
+    pair = codes[head + (slice(1, None),)].astype(np.intp)
+    pair *= k
+    pair += codes[head + (slice(None, -1),)]
+    used, out = lattice._hash_cons(pair, k * k)
+    shift = 1 << j
+    return out, [(table[p // k] << shift) | table[p % k] for p in used.tolist()]
+
+
+def _assert_runs_match_dense_passes(P):
+    """With the dense presence table and with its ``np.unique`` fallback,
+    the run scan of ``P`` equals one dense ``_pair_axis`` pass per axis
+    over the slab occupancy: the mask table, the expanded codes (values
+    and dtype), the vertex entries, the verdict and the witness; and its
+    runs are the maximal runs of the dense codes along the last axis."""
+    for limit in (lattice._PAIR_TABLE_LIMIT, 0):
+        with mock.patch.object(lattice, "_PAIR_TABLE_LIMIT", limit):
+            scan = lattice._Scan(P)
+            codes, table = scan.occ.view(np.int8), [0, 1]
+            for j in range(P.dim):
+                codes, table = _pair_axis(codes, table, j)
+            verdict = check_generic(from_boxes(P.dim, P.boxes))
+        assert scan.vertex_masks == table, P.boxes
+        assert scan.vertex_codes.dtype == codes.dtype
+        assert np.array_equal(scan.vertex_codes, codes), P.boxes
+        flat = codes.reshape(-1, codes.shape[-1])
+        starts = np.ones(flat.shape, dtype=bool)
+        starts[:, 1:] = flat[:, 1:] != flat[:, :-1]
+        keys = np.flatnonzero(starts)
+        assert np.array_equal(scan.vertex_runs[0], keys)
+        assert np.array_equal(scan.vertex_runs[1], codes.reshape(-1)[keys])
+        vertex = np.array([m in scan.profiles for m in table], dtype=bool)
+        pos = np.argwhere(vertex[codes])
+        entries = [
+            (tuple(int(scan.edges[j][i + 1]) for j, i in enumerate(p)), table[c])
+            for p, c in zip(pos.tolist(), codes[tuple(pos.T)].tolist())
+        ]
+        assert [(p, m) for p, m, _prof in scan.vertex_entries] == entries
+        assert all(prof is scan.profiles[m] for _p, m, prof in scan.vertex_entries)
+        witness = next((p for p, m in entries if scan.profiles[m].degenerate), None)
+        assert verdict == Genericity(witness is None, witness)
+
+
+@pytest.mark.parametrize("dim", sorted(_CONTACT_POOLS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_run_scan_matches_dense_passes_on_contact_unions(dim, data):
+    _assert_runs_match_dense_passes(_contact_union(data, dim))
+
+
+def test_run_scan_matches_dense_passes_on_cubes_and_generic_unions():
+    models = [unit_cube(d) for d in range(1, 11)]
+    models += [from_boxes(d, []) for d in (1, 2, 3)]
+    models += [random_generic(d, n, 4 * n + 10, 1) for d, n in ((2, 300), (3, 30), (4, 6), (5, 3))]
+    for P in models:
+        _assert_runs_match_dense_passes(P)
+
+
+def test_a_vertex_run_longer_than_one_point_is_refused(monkeypatch):
+    # a cone with every axis essential differs from both of its neighbours
+    # along the last axis, so its run is one point; dropping the run after
+    # a vertex widens it
+    scan = lattice._Scan(random_generic(3, 6, 30, seed=1))
+    keys, codes = scan.vertex_runs
+    vertex = [m in scan.profiles for m in scan.vertex_masks]
+    first = next(i for i, c in enumerate(codes.tolist()) if vertex[c])
+    wide = (np.delete(keys, first + 1), np.delete(codes, first + 1))
+    monkeypatch.setattr(scan, "vertex_runs", wide)
+    with pytest.raises(ConsistencyError, match="longer than one point"):
+        scan.vertex_entries
+
+
 def _assert_class_profile_is_direct(d, mask):
     """For a mask with every axis essential, the profile the scan derives
     from its sign class equals direct recognition, edge directions
@@ -1363,8 +1443,8 @@ def test_scan_over_budget_raises_before_allocating(monkeypatch):
 
 def test_scan_peak_matches_its_estimate():
     # the estimate is the peak of composing the full grid beside the vertex
-    # grid; the vertex grid alone, all that a generic analyze builds, peaks
-    # well below it
+    # runs; the run scan alone, all that a generic analyze builds, peaked at
+    # 0.11, 0.20 and 0.26 of it on these models
     for args in ((2, 300, 1210, 1), (3, 30, 130, 1), (4, 6, 34, 1)):
         P = random_generic(*args)
         lattice._Scan(P).inverse  # fill the mask-profile cache first
@@ -1378,7 +1458,7 @@ def test_scan_peak_matches_its_estimate():
             tracemalloc.stop()
         assert scan.inverse.dtype == np.int16
         estimate = lattice._scan_bytes(scan.inverse.shape)
-        assert vertex_peak < 0.75 * estimate, args
+        assert vertex_peak < 0.3 * estimate, args
         assert 0.9 * estimate <= peak <= 1.1 * estimate, args
 
 
