@@ -75,8 +75,9 @@ __all__ = [
 # that should be working with boxes instead.
 _CELL_LIMIT = 5_000_000
 
-# A scan whose estimated peak (``_scan_bytes``) passes this many bytes is
-# refused with ``ScanTooLargeError`` before anything is allocated.
+# A scan whose estimated peak passes this many bytes is refused with
+# ``ScanTooLargeError``: on the grid's shape (``_scan_bytes``) before
+# anything is allocated, and on its runs (``_run_bytes``) before each pass.
 _SCAN_BYTE_LIMIT = 4 << 30
 
 # An axis pass with more than this many possible (hi, lo) code pairs
@@ -495,22 +496,44 @@ def _canonical_occupancy(P: IntegralOrthotope):
     return tuple(tuple(e.tolist()) for e in edges), occ.tobytes()
 
 
-def _scan_bytes(shape: tuple) -> int:
-    """Estimated peak bytes of a scan over a doubled grid of this shape with
-    2-byte codes, the full grid included.  The peak is the last axis pass of
-    the full grid (see ``_expand_axis``): it holds the previous pass's
+def _scan_bytes(shape: tuple, runs: int = 0) -> int:
+    """Estimated peak bytes of composing the full doubled grid of this
+    shape, with 2-byte codes, from ``runs`` vertex runs.  The peak is the
+    last axis pass (see ``_expand_axis``): it holds the previous pass's
     codes, their slab codes gathered from the lookup and the new codes,
-    beside the 1-byte slab occupancy and the vertex runs, charged at 2
-    bytes per vertex-grid position: a run takes 8 bytes and a code, and
-    runs are far fewer than positions except on small grids.  The run scan
-    alone, all that ``analyze`` builds, peaks well below this: beside the
-    occupancy it holds a 1-byte run-start mask per slab and arrays per
-    run."""
+    beside the 1-byte slab occupancy and the vertex runs: their codes at 2
+    bytes per vertex-grid position, which bounds them, and their starts at
+    8 bytes per run.  Before a scan its runs are unknown and none are
+    charged; the run scan itself is charged by ``_run_bytes``, pass by
+    pass, and ``face_poset`` charges the full grid with the runs found."""
     positions = math.prod(shape)
     previous = positions // shape[-1] * ((shape[-1] - 1) // 2)
     occupancy = math.prod((n + 1) // 2 for n in shape)
     vertex = math.prod((n - 1) // 2 for n in shape)
-    return occupancy + 2 * vertex + 4 * previous + 2 * positions
+    return occupancy + 2 * vertex + 8 * runs + 4 * previous + 2 * positions
+
+
+def _run_bytes(slabs: int, runs: int, masks: int) -> int:
+    """Estimated peak bytes of one axis pass of the run scan over ``runs``
+    runs coded into ``masks`` masks, beside the 1-byte occupancy of
+    ``slabs`` slabs.  Per run it holds the run's start and code and, for up
+    to two pairs per run, their positions, sides and codes: at most 94
+    bytes per run were measured with ``_hash_cons``'s presence table, which
+    adds 5 bytes per possible pair, and 166 with ``np.unique``.  It grows
+    with the runs, not with the grid, so it passes ``_scan_bytes`` only
+    where runs are many: on a union of crossing stripes, about half the
+    slabs start one."""
+    pairs = masks * masks
+    if pairs > _PAIR_TABLE_LIMIT:
+        return slabs + 176 * runs
+    return slabs + 100 * runs + 5 * pairs
+
+
+def _check_budget(shape: tuple, estimate: int) -> None:
+    """Refuse work on the doubled grid of this shape whose estimated peak
+    passes the budget, before it allocates."""
+    if estimate > _SCAN_BYTE_LIMIT:
+        raise ScanTooLargeError(math.prod(shape), estimate)
 
 
 def _label_bytes(shape: tuple) -> int:
@@ -524,11 +547,8 @@ def _label_bytes(shape: tuple) -> int:
     return 33 * positions + 65 * joins + (1 << 16)
 
 
-_INT16_MAX = np.iinfo(np.int16).max
-
-
 def _code_dtype(count: int):
-    return np.int16 if count <= _INT16_MAX else np.int32
+    return np.int16 if count <= np.iinfo(np.int16).max else np.int32
 
 
 def _hash_cons(pair: np.ndarray, size: int):
@@ -543,7 +563,7 @@ def _hash_cons(pair: np.ndarray, size: int):
         return used, inverse.astype(_code_dtype(len(used))).reshape(pair.shape)
     present = np.zeros(size, dtype=bool)
     present[pair] = True
-    used = present.nonzero()[0]
+    used = np.flatnonzero(present)
     rank = np.zeros(size, dtype=_code_dtype(len(used)))
     rank[used] = np.arange(len(used))
     return used, rank[pair]
@@ -599,6 +619,7 @@ def _pair_rows(keys: np.ndarray, codes: np.ndarray, size: int, step: int, table,
     both = np.concatenate((keys[:lo], keys[hi:] - step))
     order = np.argsort(both, kind="stable")  # a linear merge of two sorted halves
     merged = both[order]
+    del both
     last = np.empty(len(merged), dtype=bool)
     last[-1] = True
     np.not_equal(merged[1:], merged[:-1], out=last[:-1])
@@ -606,7 +627,9 @@ def _pair_rows(keys: np.ndarray, codes: np.ndarray, size: int, step: int, table,
     # At the last of equal starts, at - 1 runs precede on the two sides
     # together, and the side the start came from gives its own index.
     came = order[at]
+    del order, last
     lo_run = np.where(came < lo, came, at + (lo - 1) - came)
+    del came
     pair = codes[hi - 1 + at - lo_run].astype(np.intp)
     pair *= len(table)
     pair += codes[lo_run]
@@ -694,21 +717,23 @@ class _Scan:
     after it by merging their run starts (see ``_pair_rows``); on the last
     axis, each run with its successor (see ``_pair_last``).  Each pass
     hash-conses its pairs (see ``_pair_codes``), so the codes are those of
-    a dense pass, and its work grows with the runs, which change only at
-    the boundary, not with the grid's volume; only the run starts of the
-    occupancy are found by one pass over it.  The runs decide the verdict
-    and give every vertex: a slab interior's cone is the cylinder over a
-    one-sided cross-section of the cone at the edge beside it, and
-    cross-sections of floral cones are floral.  For the same reason a
-    degenerate cylinder forces a degenerate cone with every axis
-    essential, so only those are recognized: ``profiles`` maps each
-    vertex-grid mask of degree 0 to its profile, read off one recognition
-    per sign class (see ``_vertex_profile``); any other mask is only found
-    to have an inessential axis.  The codes of the whole grid, ``inverse``
-    into ``unique_masks``, are derived for ``face_poset`` alone, on first
-    use, from the vertex grid's dense ``vertex_codes``: one pass per axis
-    interleaves the edges with the slab interiors, each coded as the
-    cylinder over one side of the edge after it (see ``_expand_axis``)."""
+    a dense pass, and its work and memory grow with the runs, which change
+    only at the boundary, not with the grid's volume; only the run starts
+    of the occupancy are found by one pass over it.  Each pass is checked
+    against the budget on its runs before it allocates (see
+    ``_run_bytes``).  The runs decide the verdict and give every vertex: a
+    slab interior's cone is the cylinder over a one-sided cross-section of
+    the cone at the edge beside it, and cross-sections of floral cones are
+    floral.  For the same reason a degenerate cylinder forces a degenerate
+    cone with every axis essential, so only those are recognized:
+    ``profiles`` maps each vertex-grid mask of degree 0 to its profile,
+    read off one recognition per sign class (see ``_vertex_profile``); any
+    other mask is only found to have an inessential axis.  The codes of the
+    whole grid, ``inverse`` into ``unique_masks``, are derived for
+    ``face_poset`` alone, on first use, from the vertex grid's dense
+    ``vertex_codes``: one pass per axis interleaves the edges with the slab
+    interiors, each coded as the cylinder over one side of the edge after
+    it (see ``_expand_axis``)."""
 
     def __init__(self, P: IntegralOrthotope):
         self.dim = P.dim
@@ -716,16 +741,16 @@ class _Scan:
         self.edges = _slab_edges(P)
         self.shape = tuple(2 * len(e) - 3 for e in self.edges)
         self.vertex_shape = tuple(len(e) - 2 for e in self.edges)
-        estimate = _scan_bytes(self.shape)
-        if estimate > _SCAN_BYTE_LIMIT:
-            raise ScanTooLargeError(math.prod(self.shape), estimate)
+        _check_budget(self.shape, _scan_bytes(self.shape))
         self.occ = _occupancy(P, self.edges)
         (keys, codes), table = _row_runs(self.occ), [0, 1]
         size, step = self.occ.size, self.occ.size
         for j, n in enumerate(self.occ.shape[:-1]):
+            _check_budget(self.shape, _run_bytes(self.occ.size, len(keys), len(table)))
             step //= n
             keys, codes, table = _pair_rows(keys, codes, size, step, table, j)
             size -= step
+        _check_budget(self.shape, _run_bytes(self.occ.size, len(keys), len(table)))
         keys, codes, table = _pair_last(keys, codes, size, self.occ.shape, table)
         self.vertex_runs = keys, codes
         self.vertex_masks = table
@@ -741,11 +766,13 @@ class _Scan:
         access; the full grid is derived from them, and is all that reads
         them, so they are not kept."""
         keys, codes = self.vertex_runs
-        ends = _run_ends(keys, math.prod(self.vertex_shape))
-        return np.repeat(codes, ends - keys).reshape(self.vertex_shape)
+        lengths = _run_ends(keys, math.prod(self.vertex_shape))
+        lengths -= keys
+        return np.repeat(codes, lengths).reshape(self.vertex_shape)
 
     @cached_property
     def _full(self) -> tuple:
+        _check_budget(self.shape, _scan_bytes(self.shape, len(self.vertex_runs[0])))
         codes, table = self.vertex_codes, self.vertex_masks
         for j in range(self.dim):
             codes, table = _expand_axis(codes, table, self.dim, j)
@@ -1013,9 +1040,7 @@ def _region_labels(scan: _Scan) -> np.ndarray:
     root they meet and pointer jumping flattens the trees, until no join
     crosses two trees (Shiloach and Vishkin, 1982).  A labelling whose
     bound ``_label_bytes`` passes the scan budget is refused unbuilt."""
-    estimate = _label_bytes(scan.shape)
-    if estimate > _SCAN_BYTE_LIMIT:
-        raise ScanTooLargeError(math.prod(scan.shape), estimate)
+    _check_budget(scan.shape, _label_bytes(scan.shape))
     inverse = scan.inverse
     empty = scan.unique_masks.index(0)  # the padding puts exterior in every scan
     index = np.arange(inverse.size).reshape(inverse.shape)

@@ -1170,7 +1170,6 @@ def test_pair_table_fallback_gives_the_same_codes(monkeypatch):
         assert np.array_equal(sorted_scan.vertex_codes, scan.vertex_codes)
 
 
-
 # Corner coordinates per axis for the property test below: every box
 # corner comes from range(k), so boxes overlap, touch along faces and meet
 # at edges and corners.  With these pools 8% (d = 2) to 55% (d = 4) of the
@@ -1441,25 +1440,107 @@ def test_scan_over_budget_raises_before_allocating(monkeypatch):
     assert P._scan is None
 
 
-def test_scan_peak_matches_its_estimate():
-    # the estimate is the peak of composing the full grid beside the vertex
-    # runs; the run scan alone, all that a generic analyze builds, peaked at
-    # 0.11, 0.20 and 0.26 of it on these models
+def _crossing_stripes(count):
+    """``count`` stripes along each axis of the plane, crossing: about half
+    the slabs start a run along the last axis, and every vertex-grid
+    position starts one."""
+    span = 4 * count + 4
+    boxes = [((4 * i + 1, 0), (4 * i + 2, span)) for i in range(count)]
+    boxes += [((0, 4 * i + 1), (span, 4 * i + 2)) for i in range(count)]
+    return from_boxes(2, boxes)
+
+
+def _record_run_charges(monkeypatch):
+    """The estimates ``_run_bytes`` gives from now on, in call order."""
+    charges = []
+    charge = lattice._run_bytes
+
+    def record(*args):
+        charges.append(charge(*args))
+        return charges[-1]
+
+    monkeypatch.setattr(lattice, "_run_bytes", record)
+    return charges
+
+
+def _scan_peaks(P):
+    """A fresh scan of ``P``, the traced peak bytes of building it and the
+    peak, from then on, of deriving its full grid."""
+    lattice._Scan(P).inverse  # fill the mask-profile cache first
+    tracemalloc.start()
+    try:
+        scan = lattice._Scan(P)
+        _current, vertex_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        scan.inverse
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return scan, vertex_peak, peak
+
+
+def test_scan_peak_matches_its_estimate(monkeypatch):
+    # the full grid is charged with the vertex runs found; the run scan
+    # alone, all that a generic analyze builds, peaked at 0.11, 0.20 and
+    # 0.26 of the grid's estimate on these models, whose runs are few, so
+    # that their passes are charged less than the grid
+    charges = _record_run_charges(monkeypatch)
     for args in ((2, 300, 1210, 1), (3, 30, 130, 1), (4, 6, 34, 1)):
-        P = random_generic(*args)
-        lattice._Scan(P).inverse  # fill the mask-profile cache first
-        tracemalloc.start()
-        try:
-            scan = lattice._Scan(P)
-            _current, vertex_peak = tracemalloc.get_traced_memory()
-            scan.inverse
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        charges.clear()
+        scan, vertex_peak, peak = _scan_peaks(random_generic(*args))
         assert scan.inverse.dtype == np.int16
-        estimate = lattice._scan_bytes(scan.inverse.shape)
-        assert vertex_peak < 0.3 * estimate, args
+        assert vertex_peak < 0.3 * lattice._scan_bytes(scan.shape), args
+        assert max(charges) < lattice._scan_bytes(scan.shape), args
+        estimate = lattice._scan_bytes(scan.shape, len(scan.vertex_runs[0]))
         assert 0.9 * estimate <= peak <= 1.1 * estimate, args
+
+
+def test_run_scan_peak_matches_the_charge_of_its_passes(monkeypatch):
+    # on crossing stripes the run passes, not the full grid, set the peak:
+    # 0.92 of their largest charge with the presence table and 0.75 with
+    # np.unique, each over 4 times the grid's estimate
+    charges = _record_run_charges(monkeypatch)
+    P = _crossing_stripes(150)
+    for limit in (lattice._PAIR_TABLE_LIMIT, 0):
+        monkeypatch.setattr(lattice, "_PAIR_TABLE_LIMIT", limit)
+        charges.clear()
+        scan, vertex_peak, peak = _scan_peaks(P)
+        assert len(scan.vertex_runs[0]) == math.prod(scan.vertex_shape)
+        assert max(charges) > 4 * lattice._scan_bytes(scan.shape), limit
+        assert 0.7 * max(charges) <= vertex_peak <= max(charges), limit
+        estimate = lattice._scan_bytes(scan.shape, len(scan.vertex_runs[0]))
+        assert 0.9 * estimate <= peak <= 1.1 * estimate, limit
+
+
+def test_runs_over_budget_are_refused_before_their_pass(monkeypatch):
+    P = _crossing_stripes(60)
+    charges = _record_run_charges(monkeypatch)
+    shape = lattice._Scan(P).shape
+    need = max(charges)
+    monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", need - 1)
+    assert lattice._scan_bytes(shape) < need - 1  # the grid alone would pass
+    charges.clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(lattice.ScanTooLargeError) as info:
+            check_generic(P)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.positions == math.prod(shape)
+    assert info.value.estimate == need == charges[-1]
+    assert peak <= max(charges[:-1])  # the refused pass allocated nothing
+    assert P._scan is None
+
+    # the full grid is charged with the vertex runs the scan found
+    P = random_generic(2, 40, 170, seed=1)
+    scan = lattice._scan_for(P)
+    estimate = lattice._scan_bytes(scan.shape, len(scan.vertex_runs[0]))
+    monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", estimate - 1)
+    assert check_generic(P)
+    with pytest.raises(lattice.ScanTooLargeError) as info:
+        scan.inverse
+    assert info.value.estimate == estimate > lattice._scan_bytes(scan.shape)
 
 
 def test_label_bound_covers_the_labelling_peak():
