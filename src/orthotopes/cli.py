@@ -2,7 +2,8 @@
 
 Models are JSON objects ``{"dim": d, "scale": n, "boxes": [[[lo],[hi]], ...]}``
 or ``{"dim": d, "scale": n, "cells": [[x, ...], ...]}`` with integer entries;
-the encoded point set is the cell union divided by the scale.  Reports are
+the encoded point set is the cell union divided by the scale.  Cells are
+read as unit boxes, and models are saved as boxes.  Reports are
 JSON objects with genericity verdict, witness, volume, Euler characteristic,
 vertex census, and skeleton summary.  All output is byte-stable: fixed key
 order, fixed indentation, one trailing newline.
@@ -157,16 +158,11 @@ def load_model(path: str) -> IntegralOrthotope:
 
 
 def save_model(P: IntegralOrthotope) -> dict:
-    """Canonical model object: boxes stay boxes, cells are sorted, so that
-    saving and reloading reproduces an equal orthotope byte for byte."""
-    body: dict = {"dim": P.dim, "scale": P.scale}
-    if P._boxes is not None:
-        body["boxes"] = [
-            [list(lo), list(hi)] for lo, hi in sorted(P._boxes)
-        ]
-    else:
-        body["cells"] = [list(c) for c in sorted(P.cells)]
-    return body
+    """Canonical model object with the boxes in sorted order, so that
+    saving and reloading reproduces an equal orthotope byte for byte.  A
+    model read from cells is saved as its unit boxes."""
+    boxes = [[list(lo), list(hi)] for lo, hi in P.boxes]
+    return {"dim": P.dim, "scale": P.scale, "boxes": boxes}
 
 
 def load_faces(path: str):

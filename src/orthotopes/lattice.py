@@ -75,6 +75,13 @@ __all__ = [
 # that should be working with boxes instead.
 _CELL_LIMIT = 5_000_000
 
+# The scan pads the edges of each axis by one unit in int64 (see
+# ``_slab_edges``), so box coordinates must leave that room.
+_COORDINATE_RANGE = (-(2**63) + 1, 2**63 - 2)
+
+# ``_occupancy`` turns this many boxes at a time into Python lists.
+_OCCUPANCY_CHUNK = 4096
+
 # A scan whose estimated peak passes this many bytes is refused with
 # ``ScanTooLargeError``: on the grid's shape (``_scan_bytes``) before
 # anything is allocated, and on its runs (``_run_bytes``) before each pass.
@@ -230,32 +237,29 @@ class EulerMethod(Enum):
 
 class IntegralOrthotope:
     """A union of unit lattice cells in dimension ``dim`` at denominator
-    ``scale``.  The set is stored as a list of integer boxes; the explicit
-    cell set is materialized lazily because thickened instances can cover
-    millions of cells while all invariants are computable from the boxes.
-    The compressed classification scan is built on first use and cached,
-    so every invariant of one instance shares a single scan.  Instances
-    are immutable; equality and hash compare dim, scale and the point set,
+    ``scale``.  The set is stored as a sorted tuple of integer boxes, unit
+    boxes for ``from_cells``; the explicit cell set is materialized lazily
+    because thickened instances can cover millions of cells while all
+    invariants are computable from the boxes.  The compressed
+    classification scan is built on first use and cached, so every
+    invariant of one instance shares a single scan.  Instances are
+    immutable; equality and hash compare dim, scale and the point set,
     through its coarsest slab occupancy, so they neither materialize the
     cells nor touch the cached scan.
     """
 
     __slots__ = ("dim", "scale", "_boxes", "_cells", "_scan")
 
-    def __init__(self, dim: int, scale: int, boxes, cells):
+    def __init__(self, dim: int, scale: int, boxes: tuple):
         self.dim = dim
         self.scale = scale
         self._boxes = boxes
-        self._cells = cells
+        self._cells = None
         self._scan = None
 
     @property
     def boxes(self) -> tuple:
-        if self._boxes is not None:
-            return self._boxes
-        return tuple(
-            (cell, tuple(c + 1 for c in cell)) for cell in sorted(self._cells)
-        )
+        return self._boxes
 
     @property
     def cells(self) -> frozenset:
@@ -273,28 +277,20 @@ class IntegralOrthotope:
 
     @property
     def is_empty(self) -> bool:
-        if self._boxes is not None:
-            return not self._boxes
-        return not self._cells
+        return not self._boxes
 
     def bounding_box(self):
         """(lo, hi) integer corner pair of the smallest enclosing box, or
         ``None`` when empty."""
         if self.is_empty:
             return None
-        if self._boxes is not None:
-            lo = tuple(min(b[0][j] for b in self._boxes) for j in range(self.dim))
-            hi = tuple(max(b[1][j] for b in self._boxes) for j in range(self.dim))
-        else:
-            lo = tuple(min(c[j] for c in self._cells) for j in range(self.dim))
-            hi = tuple(max(c[j] for c in self._cells) + 1 for j in range(self.dim))
+        lo = tuple(min(b[0][j] for b in self._boxes) for j in range(self.dim))
+        hi = tuple(max(b[1][j] for b in self._boxes) for j in range(self.dim))
         return lo, hi
 
     def cell_count(self) -> int:
         """Number of unit cells, computed from the boxes without
         materializing the cell set."""
-        if self._cells is not None:
-            return len(self._cells)
         return _scan_for(self).cell_total()
 
     def __eq__(self, other):
@@ -310,10 +306,7 @@ class IntegralOrthotope:
         return hash((self.dim, self.scale, _canonical_occupancy(self)))
 
     def __repr__(self):
-        if self._cells is not None:
-            body = f"cells={len(self._cells)}"
-        else:
-            body = f"boxes={len(self._boxes)}"
+        body = f"boxes={len(self._boxes)}"
         return f"IntegralOrthotope(dim={self.dim}, scale={self.scale}, {body})"
 
 
@@ -333,9 +326,11 @@ def _validate_header(dim, scale):
 def from_boxes(dim: int, boxes: Iterable, scale: int = 1) -> IntegralOrthotope:
     """Build the union of axis-aligned integer boxes ``[lo, hi)`` given as
     (lo, hi) corner pairs.  Every box must be proper (lo < hi on each
-    axis); overlaps and duplicates are allowed and merge silently.  An
-    empty list yields the empty orthotope."""
+    axis) with its coordinates in ``_COORDINATE_RANGE``; overlaps and
+    duplicates are allowed and merge silently.  An empty list yields the
+    empty orthotope."""
     _validate_header(dim, scale)
+    least, most = _COORDINATE_RANGE
     clean = []
     for k, (lo, hi) in enumerate(boxes):
         lo = tuple(int(c) for c in lo)
@@ -344,21 +339,27 @@ def from_boxes(dim: int, boxes: Iterable, scale: int = 1) -> IntegralOrthotope:
             raise ValueError(f"box {k} has wrong arity for dimension {dim}")
         if any(l >= h for l, h in zip(lo, hi)):
             raise ValueError(f"box {k} is degenerate: {lo} .. {hi}")
+        if min(lo) < least or max(hi) > most:
+            raise ValueError(f"box {k} has a coordinate outside [{least}, {most}]")
         clean.append((lo, hi))
-    clean = tuple(sorted(set(clean)))
-    return IntegralOrthotope(dim, scale, clean, frozenset() if not clean else None)
+    return IntegralOrthotope(dim, scale, tuple(sorted(set(clean))))
 
 
 def from_cells(dim: int, cells: Iterable, scale: int = 1) -> IntegralOrthotope:
-    """Build an orthotope directly from unit cell min-corners."""
+    """Build an orthotope from unit cell min-corners, each read as the unit
+    box at that corner and checked as ``from_boxes`` checks boxes."""
     _validate_header(dim, scale)
+    least, most = _COORDINATE_RANGE
     cleaned = set()
     for cell in cells:
-        cell = tuple(int(c) for c in cell)
+        cell = tuple(map(int, cell))
         if len(cell) != dim:
             raise ValueError(f"cell {cell} has wrong arity for dimension {dim}")
+        if min(cell) < least or max(cell) >= most:
+            raise ValueError(f"cell {cell} has a coordinate outside [{least}, {most - 1}]")
         cleaned.add(cell)
-    return IntegralOrthotope(dim, scale, None, frozenset(cleaned))
+    boxes = tuple((cell, tuple([c + 1 for c in cell])) for cell in sorted(cleaned))
+    return IntegralOrthotope(dim, scale, boxes)
 
 
 def _half(value) -> Fraction:
@@ -474,8 +475,9 @@ def _occupancy(P: IntegralOrthotope, edges) -> np.ndarray:
     occ = np.zeros(tuple(len(e) - 1 for e in edges), dtype=bool)
     corners = np.array(P.boxes, dtype=np.int64).reshape(-1, 2, d)
     slabs = np.stack([np.searchsorted(edges[j], corners[..., j]) for j in range(d)], -1)
-    for lo, hi in slabs.tolist():
-        occ[tuple(map(slice, lo, hi))] = True
+    for start in range(0, len(slabs), _OCCUPANCY_CHUNK):
+        for lo, hi in slabs[start : start + _OCCUPANCY_CHUNK].tolist():
+            occ[tuple(map(slice, lo, hi))] = True
     return occ
 
 
@@ -799,7 +801,12 @@ class _Scan:
         return tuple(self.coordinate(j, int(r)) for j, r in enumerate(idx))
 
     def widths(self, j: int) -> np.ndarray:
-        return np.diff(self.edges[j])
+        """The slab widths along axis j, as Python ints where the axis
+        spans more than int64 holds."""
+        edges = self.edges[j]
+        if int(edges[-1]) - int(edges[0]) > np.iinfo(np.int64).max:
+            edges = edges.astype(object)
+        return np.diff(edges)
 
     # derived summaries ------------------------------------------------
 
@@ -881,25 +888,17 @@ def classify_point(P: IntegralOrthotope, point: Sequence) -> PointClass:
     coords = tuple(_half(c) for c in point)
     if len(coords) != P.dim:
         raise ValueError(f"point arity {len(coords)} does not match dimension {P.dim}")
-    cells = P._cells if P._cells is not None else None
-    boxes = P.boxes if cells is None else None
+    # the cells on the lo and the hi side of the point along each axis
+    sides = [(c - 1, c) if isinstance(c, int) else (math.floor(c),) * 2 for c in coords]
+    # only the boxes holding one of those cells are checked per orthant
+    near = [
+        (lo, hi) for lo, hi in P.boxes
+        if all(l <= b and a < h for l, h, (a, b) in zip(lo, hi, sides))
+    ]
     mask = 0
     for s in range(1 << P.dim):
-        cell = []
-        for j, c in enumerate(coords):
-            if isinstance(c, int):
-                cell.append(c if (s >> j) & 1 else c - 1)
-            else:
-                cell.append((2 * c.numerator // c.denominator - 1) // 2)
-        cell = tuple(cell)
-        if cells is not None:
-            inside = cell in cells
-        else:
-            inside = any(
-                all(lo[j] <= cell[j] < hi[j] for j in range(P.dim))
-                for lo, hi in boxes
-            )
-        if inside:
+        cell = [side[(s >> j) & 1] for j, side in enumerate(sides)]
+        if any(all(l <= c < h for l, c, h in zip(lo, cell, hi)) for lo, hi in near):
             mask |= 1 << s
     prof = _mask_profile(P.dim, mask)
     return PointClass(coords, OrthantSet(P.dim, mask), prof.essential, prof.degree, prof.floral)

@@ -175,6 +175,16 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_coordinates_the_scan_cannot_hold_exit_2(tmp_path, capsys):
+    for model in (
+        {"dim": 1, "boxes": [[[0], [2**63]]]},
+        {"dim": 1, "boxes": [[[-(2**63)], [0]]]},
+        {"dim": 1, "cells": [[2**63 - 2]]},
+    ):
+        assert main(["analyze", _write(tmp_path, "far.json", model)]) == EXIT_MALFORMED
+        assert "has a coordinate outside" in capsys.readouterr().err
+
+
 def test_scan_over_budget_exits_5(monkeypatch, capsys):
     monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", 1000)
     for argv in (

@@ -9,6 +9,7 @@ versus a test-side full-resolution scan)."""
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -184,6 +185,33 @@ def test_cells_and_boxes_views_agree():
     assert set(Q.boxes) == {((0, 0), (1, 1)), ((1, 0), (2, 1))}
     assert P.cell_count() == 2 == Q.cell_count()
     assert P.bounding_box() == ((0, 0), (2, 1))
+
+
+def _random_cells(seed, dim):
+    rng = random.Random(seed)
+    return [c for c in itertools.product(range(4), repeat=dim) if rng.random() < 0.4]
+
+
+@pytest.mark.parametrize(
+    "dim, cells",
+    [(2, L_CELLS), (3, TORUS_CELLS), (2, [])]
+    + [(d, _random_cells(seed, d)) for d in (1, 2, 3) for seed in (1, 2)],
+    ids=["L", "torus", "empty"] + [f"d{d}-seed{seed}" for d in (1, 2, 3) for seed in (1, 2)],
+)
+def test_cells_model_is_stored_as_its_unit_boxes(dim, cells):
+    P = from_cells(dim, cells)
+    Q = from_boxes(dim, [(c, tuple(x + 1 for x in c)) for c in cells])
+    assert P.boxes == Q.boxes and P.boxes is P.boxes
+    assert P.cells == Q.cells == set(cells)
+    assert P.is_empty == Q.is_empty == (not cells)
+    assert P.bounding_box() == Q.bounding_box()
+    assert P.cell_count() == Q.cell_count() == len(set(cells))
+    assert repr(P) == repr(Q)
+    assert json.dumps(cli.save_model(P)) == json.dumps(cli.save_model(Q))
+    lo, hi = P.bounding_box() or ((0,) * dim, (0,) * dim)
+    for doubled in itertools.product(*(range(2 * l - 2, 2 * h + 3) for l, h in zip(lo, hi))):
+        point = tuple(Fraction(x, 2) for x in doubled)
+        assert classify_point(P, point) == classify_point(Q, point)
 
 
 def test_cell_materialization_guard():
@@ -422,6 +450,28 @@ def test_volume_and_cell_count_stay_exact_past_int64():
     assert all(volume(square, m) == 2**80 for m in VolumeMethod)
     assert volume(square) == _reference_mu_sum(lattice._scan_for(square))
     assert square.cell_count() == 2**80
+    # an axis before the last spanning more than int64 holds
+    wide = from_boxes(2, [((-(2**62) - 5, 0), (2**62 + 5, 1))])
+    assert all(volume(wide, m) == 2**63 + 10 for m in VolumeMethod)
+    assert wide.cell_count() == 2**63 + 10
+    with pytest.raises(TooManyCellsError):
+        face_poset(wide)
+
+
+def test_coordinates_the_scan_cannot_hold_are_refused():
+    # the scan pads each axis by one unit in int64
+    least, most = -(2**63) + 1, 2**63 - 2
+    for box in (((least - 1,), (0,)), ((0,), (most + 1,))):
+        with pytest.raises(ValueError, match="box 0 has a coordinate outside"):
+            from_boxes(1, [box])
+    for cell in ((least - 1,), (most,)):
+        with pytest.raises(ValueError, match="has a coordinate outside"):
+            from_cells(1, [cell])
+    widest = from_boxes(1, [((least,), (most,))])
+    assert all(volume(widest, m) == most - least for m in VolumeMethod)
+    assert from_cells(1, [(least,), (most - 1,)]).cell_count() == 2
+    square = from_boxes(2, [((0, 0), (2**62, 2**62))])
+    assert all(volume(square, m) == 2**124 for m in VolumeMethod)
 
 
 def test_volume_formula_methods_require_generic(q_solid):
@@ -1510,6 +1560,16 @@ def test_run_scan_peak_matches_the_charge_of_its_passes(monkeypatch):
         assert 0.7 * max(charges) <= vertex_peak <= max(charges), limit
         estimate = lattice._scan_bytes(scan.shape, len(scan.vertex_runs[0]))
         assert 0.9 * estimate <= peak <= 1.1 * estimate, limit
+
+
+def test_occupancy_of_many_boxes_stays_within_the_run_charge(monkeypatch):
+    # a 400 x 400 checkerboard of 80,000 unit boxes: converting them all to
+    # Python lists at once peaked at 1.66 times the largest run-pass charge
+    charges = _record_run_charges(monkeypatch)
+    P = from_cells(2, [(x, y) for x in range(400) for y in range(400) if (x + y) % 2 == 0])
+    assert len(P.boxes) == 80_000
+    _scan, vertex_peak, _peak = _scan_peaks(P)
+    assert vertex_peak <= max(charges)
 
 
 def test_runs_over_budget_are_refused_before_their_pass(monkeypatch):
