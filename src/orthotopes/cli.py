@@ -195,7 +195,7 @@ def load_faces(path: str):
         )
         for j, entry in enumerate(spec):
             _expect(
-                entry is None or entry in (0, 1),
+                entry is None or (type(entry) is int and entry in (0, 1)),
                 f"{where}[1][{j}]",
                 "expected 0, 1, or null",
             )

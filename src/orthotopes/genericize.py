@@ -70,6 +70,8 @@ def face_box(corner: Sequence[int], spec: Sequence) -> tuple:
     """Closed box ``corner + spec`` of a unit-cube face: spec entries are
     0 or 1 for a pinned side and None for a full extent.  Degenerate
     ranges are allowed; the box is a face, not a solid."""
+    if len(corner) != len(spec):
+        raise ValueError(f"face corner {corner} and spec {spec} differ in arity")
     lo, hi = [], []
     for v, f in zip(corner, spec):
         if f is None:
@@ -229,6 +231,8 @@ def distance_to_faces(P: IntegralOrthotope, faces: Sequence) -> Fraction:
     n = P.scale
     face_boxes = []
     for v, spec in faces:
+        if len(v) != P.dim:
+            raise ValueError(f"face ({v}, {spec}) has wrong arity for dimension {P.dim}")
         lo, hi = face_box(v, spec)
         face_boxes.append(
             (tuple(c * n for c in lo), tuple(c * n for c in hi))

@@ -123,7 +123,7 @@ class ScanTooLargeError(MemoryError):
 
 class TooManyCellsError(ScanTooLargeError):
     """Raised before more than ``_CELL_LIMIT`` unit cells are materialized,
-    by ``IntegralOrthotope.cells`` or ``face_poset``.  A refusal of an
+    by ``IntegralOrthotope.cells`` or ``Face.cells``.  A refusal of an
     output too large to list, not a fault of the library or the input:
     the box form holds such a model.  ``cells`` is the count refused; a
     scan's ``positions`` and ``estimate`` are not set."""
@@ -173,15 +173,21 @@ class VertexCensus:
 
 @dataclass(frozen=True)
 class Face:
-    """Closure of one genericity region.  ``cells`` are min-corners of the
-    face's unit cells written in the free-axis coordinates only; ``fixed``
-    lists the (axis, coordinate) pairs of the remaining axes."""
+    """Closure of one genericity region, held as disjoint (lo, hi) ``boxes``
+    in the free-axis coordinates only; ``fixed`` lists the (axis,
+    coordinate) pairs of the remaining axes.  ``cells`` expands the boxes on
+    first use.  Equality and hash compare the boxes as listed, so two
+    decompositions of one point set differ although their cells agree."""
 
     dim: int
     free_axes: tuple[int, ...]
     fixed: tuple[tuple[int, int], ...]
-    cells: frozenset
+    boxes: tuple
     representative: PointClass
+
+    @cached_property
+    def cells(self) -> frozenset:
+        return _cells_of(self.boxes)
 
 
 @dataclass(frozen=True)
@@ -264,15 +270,7 @@ class IntegralOrthotope:
     @property
     def cells(self) -> frozenset:
         if self._cells is None:
-            _check_cell_total(
-                sum(math.prod(h - l for l, h in zip(lo, hi)) for lo, hi in self._boxes)
-            )
-            cells = set()
-            for lo, hi in self._boxes:
-                cells.update(
-                    itertools.product(*(range(l, h) for l, h in zip(lo, hi)))
-                )
-            self._cells = frozenset(cells)
+            self._cells = _cells_of(self._boxes)
         return self._cells
 
     @property
@@ -310,10 +308,16 @@ class IntegralOrthotope:
         return f"IntegralOrthotope(dim={self.dim}, scale={self.scale}, {body})"
 
 
-def _check_cell_total(total: int) -> None:
-    """Refuse to materialize more than ``_CELL_LIMIT`` unit cells."""
+def _cells_of(boxes) -> frozenset:
+    """The min-corners of the unit cells of ``boxes``, (lo, hi) corner
+    pairs; more than ``_CELL_LIMIT`` of them are refused unbuilt."""
+    total = sum(math.prod(h - l for l, h in zip(lo, hi)) for lo, hi in boxes)
     if total > _CELL_LIMIT:
         raise TooManyCellsError(total)
+    cells = set()
+    for lo, hi in boxes:
+        cells.update(itertools.product(*map(range, lo, hi)))
+    return frozenset(cells)
 
 
 def _validate_header(dim, scale):
@@ -1069,8 +1073,9 @@ def face_poset(P: IntegralOrthotope) -> FacePoset:
     taking closures, with containment among closures, on the model's one
     compressed scan.  The local structure is constant along a region, so a
     slab interior stands for its whole run and a region lies in the closure
-    of another as soon as one of its positions does.  ``Face.cells`` lists
-    unit cells, so output past ``_CELL_LIMIT`` cells is refused unbuilt."""
+    of another as soon as one of its positions does.  Each face holds one
+    box per slab-interior row of its region, so the output grows with the
+    scan, not with the volume; ``Face.cells`` lists unit cells lazily."""
     scan = _require_generic(P)
     if P.is_empty:  # no region: the per-region arrays below lose an axis
         return FacePoset((), frozenset())
@@ -1089,24 +1094,15 @@ def face_poset(P: IntegralOrthotope) -> FacePoset:
     if (fixed_axes & (even | (pos != heads[owner]))).any():
         raise ConsistencyError("essential axis varies inside a region")
     # A position even on every free axis stands for the box of its slabs
-    # there; its cells are listed region by region.
+    # there, written on those axes; each region's boxes are its rows'.
     rows = np.flatnonzero((even | fixed_axes).all(axis=1))
     rows = rows[np.argsort(owner[rows], kind="stable")]
     slab = pos[rows] // 2
-    lo = np.stack([scan.edges[j][slab[:, j]] for j in range(d)], axis=-1)
-    width = np.stack([scan.widths(j)[slab[:, j]] for j in range(d)], axis=-1)
-    width[fixed_axes[rows]] = 1
-    count = np.prod(width.astype(object), axis=1)
-    _check_cell_total(int(count.sum()))
-    count = count.astype(np.int64)
-    row_of = np.repeat(np.arange(len(rows)), count)
-    # each cell's rank inside its row's box, read as mixed-radix digits
-    local = np.arange(len(row_of)) - np.repeat(np.cumsum(count) - count, count)
-    cells = np.empty((len(row_of), d), dtype=np.int64)
-    for j in reversed(range(d)):
-        cells[:, j] = lo[row_of, j] + local % width[row_of, j]
-        local //= width[row_of, j]
-    bounds = np.searchsorted(owner[rows][row_of], np.arange(len(roots) + 1))
+    lo = np.stack([scan.edges[j][slab[:, j]] for j in range(d)], axis=-1).tolist()
+    hi = np.stack([scan.edges[j][slab[:, j] + 1] for j in range(d)], axis=-1).tolist()
+    keep = (~fixed_axes[rows]).tolist()
+    boxes = list(zip(*(map(tuple, map(itertools.compress, c, keep)) for c in (lo, hi))))
+    bounds = np.searchsorted(owner[rows], np.arange(len(roots) + 1))
     if (np.diff(bounds) == 0).any():
         raise ConsistencyError("genericity region with no interior cell")
     ranked = []
@@ -1115,12 +1111,13 @@ def face_poset(P: IntegralOrthotope) -> FacePoset:
         fixed = tuple(
             (a, int(scan.edges[a - 1][(head[a - 1] + 1) // 2])) for a in prof.essential
         )
-        block = cells[bounds[r] : bounds[r + 1], [a - 1 for a in free]]
         rep_point = scan.point_of(head)
         rep = PointClass(
             rep_point, OrthantSet(d, mask), prof.essential, prof.degree, prof.floral
         )
-        face = Face(len(free), free, fixed, frozenset(map(tuple, block.tolist())), rep)
+        face = Face(
+            len(free), free, fixed, tuple(boxes[bounds[r] : bounds[r + 1]]), rep
+        )
         ranked.append((face, int(roots[r])))
     ranked.sort(key=lambda e: (e[0].dim, e[0].representative.point))
     faces = tuple(face for face, _root in ranked)

@@ -119,6 +119,17 @@ def test_load_faces_schema(tmp_path):
         load_faces(bad)
 
 
+@pytest.mark.parametrize("entry", [True, False, 1.0])
+def test_genericize_refuses_spec_entries_that_only_compare_as_0_or_1(tmp_path, capsys, entry):
+    # True == 1 and 1.0 == 1, but only the integers 0 and 1 pin a side
+    faces = {"dim": 2, "faces": [[[0, 0], [entry, None]]]}
+    path = _write(tmp_path, "faces.json", faces)
+    with pytest.raises(ModelFormatError, match=r"faces\[0\]\[1\]\[0\]"):
+        load_faces(path)
+    assert main(["genericize", path, "--bound", "1/2"]) == EXIT_MALFORMED
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # commands and exit codes
 

@@ -304,3 +304,15 @@ def test_distance_to_faces_handles_flat_targets():
     assert 0 < gap < Fraction(1, 4)
     with pytest.raises(ValueError):
         distance_to_faces(out, [])
+
+
+def test_face_box_and_distance_to_faces_check_face_arity():
+    # zip would drop the unmatched entries
+    for corner, spec in (((0, 0, 5), (None, None)), ((0,), (None, None))):
+        with pytest.raises(ValueError, match="arity"):
+            face_box(corner, spec)
+    square = from_boxes(2, [((0, 0), (2, 2))])
+    assert distance_to_faces(square, [((0, 0), (None, None))]) == 1
+    for face in (((0, 0, 5), (None, None, None)), ((0,), (None,)), ((0, 0), (None,))):
+        with pytest.raises(ValueError, match="arity"):
+            distance_to_faces(square, [((0, 0), (None, None)), face])

@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -454,8 +455,10 @@ def test_volume_and_cell_count_stay_exact_past_int64():
     wide = from_boxes(2, [((-(2**62) - 5, 0), (2**62 + 5, 1))])
     assert all(volume(wide, m) == 2**63 + 10 for m in VolumeMethod)
     assert wide.cell_count() == 2**63 + 10
+    two = face_poset(wide).faces_of_dim(2)
+    assert [h[0] - l[0] for f in two for l, h in f.boxes] == [2**63 + 10]
     with pytest.raises(TooManyCellsError):
-        face_poset(wide)
+        two[0].cells
 
 
 def test_coordinates_the_scan_cannot_hold_are_refused():
@@ -771,7 +774,8 @@ def _reference_face_poset(P):
     regions are the ``networkx`` components of axis-adjacent positions with
     one nonempty mask, and face a lies in the closure of face b when every
     cell of a, pushed to either side of a's fixed coordinate on each axis
-    free in b only, is a cell of b (a per-cell check over all face pairs)."""
+    free in b only, is a cell of b (a per-cell check over all face pairs).
+    Each face holds the unit boxes of its cells."""
     scan = _FullScan(P)
     d = P.dim
     masks = scan.masks
@@ -806,7 +810,8 @@ def _reference_face_poset(P):
             prof.degree,
             prof.floral,
         )
-        faces.append(lattice.Face(len(free), free, fixed, cells, rep))
+        boxes = tuple((c, tuple(x + 1 for x in c)) for c in sorted(cells))
+        faces.append(lattice.Face(len(free), free, fixed, boxes, rep))
     faces.sort(key=lambda f: (f.dim, f.representative.point))
     incidence = set()
     for i, a in enumerate(faces):
@@ -871,8 +876,15 @@ def _face_poset_models():
 def test_face_poset_matches_networkx_regions_and_cell_incidence(P):
     fp = face_poset(P)
     faces, incidence = _reference_face_poset(P)
-    assert fp.faces == faces
+
+    def seen(f):
+        return f.dim, f.free_axes, f.fixed, f.cells, f.representative
+
+    assert [seen(f) for f in fp.faces] == [seen(f) for f in faces]
     assert fp.incidence == incidence
+    # the boxes of a face are disjoint, so their volumes count its cells
+    for f in fp.faces:
+        assert sum(math.prod(map(operator.sub, h, l)) for l, h in f.boxes) == len(f.cells)
 
 
 def test_face_poset_on_long_thin_boxes_reads_the_small_scan(monkeypatch):
@@ -886,24 +898,63 @@ def test_face_poset_on_long_thin_boxes_reads_the_small_scan(monkeypatch):
 
 def test_face_poset_refuses_too_many_cells_before_building_them(monkeypatch):
     P = from_boxes(2, [((0, 0), (10, 1)), ((5, 1), (6, 10))])
-    # 8 vertices, 40 edge cells around the outline and 19 in the top face
-    monkeypatch.setattr(lattice, "_CELL_LIMIT", 8 + 40 + 19 - 1)
-    with pytest.raises(TooManyCellsError, match="materialize about 67 cells"):
-        face_poset(P)
+    # 8 vertices, 40 edge cells around the outline and 19 in the top face;
+    # each face refuses its own cells, when they are asked for
+    monkeypatch.setattr(lattice, "_CELL_LIMIT", 18)
+    fp = face_poset(P)
+    (top,) = fp.faces_of_dim(2)
+    with pytest.raises(TooManyCellsError, match="materialize about 19 cells"):
+        top.cells
+    assert sum(len(f.cells) for f in fp.faces if f.dim < 2) == 8 + 40
     monkeypatch.undo()
     assert sum(len(f.cells) for f in face_poset(P).faces) == 67
-    # 2^80 cells in the square alone: the count is exact, and nothing is built
+    # 2^80 cells in the square alone: the faces hold boxes, and no cell is built
     side = 1 << 40
     square = from_boxes(2, [((0, 0), (side, side))])
     tracemalloc.start()
     try:
-        with pytest.raises(TooManyCellsError) as info:
-            face_poset(square)
+        fp = face_poset(square)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert f"about {side * side + 4 * side + 4} cells" in str(info.value)
     assert peak < 1 << 20
+    volumes = [math.prod(map(operator.sub, h, l)) for f in fp.faces for l, h in f.boxes]
+    assert sum(volumes) == side * side + 4 * side + 4
+    (top,) = fp.faces_of_dim(2)
+    with pytest.raises(TooManyCellsError, match=f"about {side * side} cells"):
+        top.cells
+
+
+def test_face_equality_and_hash_need_no_cells(monkeypatch):
+    models = [from_boxes(2, [((0, 0), (10**4, 1)), ((5000, 1), (5001, 10**4))])]
+    models += [from_boxes(3, [((0, 0, 0), (200, 200, 200))]), from_cells(3, TORUS_CELLS)]
+    posets = [face_poset(P) for P in models]
+
+    def refuse(boxes):
+        raise AssertionError("cells listed")
+
+    monkeypatch.setattr(lattice, "_cells_of", refuse)
+    for P, fp in zip(models, posets):
+        again = face_poset(P)
+        assert again == fp and hash(again) == hash(fp)
+        assert len(set(fp.faces)) == len(fp.faces)
+        assert all(f == g and hash(f) == hash(g) for f, g in zip(fp.faces, again.faces))
+
+
+def test_face_equality_compares_boxes_as_listed():
+    # one L from its five cells (unit slabs) and from two boxes (a slab of
+    # width 2 on each arm): the same point set, decomposed differently
+    cells = [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]
+    by_cells = face_poset(from_cells(2, cells)).faces
+    by_boxes = face_poset(from_boxes(2, [((0, 0), (3, 1)), ((0, 1), (1, 3))])).faces
+    assert len(by_cells) == len(by_boxes) == 13
+    assert [f.cells for f in by_cells] == [f.cells for f in by_boxes]
+    assert by_cells != by_boxes
+    (top_cells,), (top_boxes,) = (
+        [f for f in faces if f.dim == 2] for faces in (by_cells, by_boxes)
+    )
+    assert len(top_cells.boxes) == 5 and len(top_boxes.boxes) == 3
+    assert top_cells != top_boxes and top_cells.cells == top_boxes.cells == set(cells)
 
 
 # ---------------------------------------------------------------------------
