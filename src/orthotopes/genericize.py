@@ -16,11 +16,13 @@ reproduce bit for bit from the seed alone.
 unions with integer data at scale n is an integer multiple of 1/(2n), so
 an integer binary search over dilation radii, with an exact coverage test
 on the coordinate-refined grid, pins the value without any floating
-point.
+point.  The radius at which one inflated box holds each box is found once,
+so a probe tests only the boxes that need more than one.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +43,10 @@ __all__ = [
 
 # cap on the dyadic refinement used for pad denominators
 _MAX_SCALE_LOG = 32
+
+# The distance search compares source boxes with every target box in
+# chunks of at most this many coordinates.
+_PAIR_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,8 @@ class PadSchedule:
 
 def face_box(corner: Sequence[int], spec: Sequence) -> tuple:
     """Closed box ``corner + spec`` of a unit-cube face: spec entries are
-    0 or 1 for a pinned side and None for a full extent.  Degenerate
+    the ints 0 or 1 for a pinned side and None for a full extent; a bool or
+    a float is refused, as ``cli.load_faces`` refuses it.  Degenerate
     ranges are allowed; the box is a face, not a solid."""
     if len(corner) != len(spec):
         raise ValueError(f"face corner {corner} and spec {spec} differ in arity")
@@ -77,11 +84,11 @@ def face_box(corner: Sequence[int], spec: Sequence) -> tuple:
         if f is None:
             lo.append(int(v))
             hi.append(int(v) + 1)
-        elif f in (0, 1):
+        elif type(f) is int and f in (0, 1):
             lo.append(int(v) + f)
             hi.append(int(v) + f)
         else:
-            raise ValueError(f"face spec entry {f!r} is not 0, 1, or None")
+            raise ValueError(f"face spec entry {f!r} is not the int 0 or 1, or None")
     return tuple(lo), tuple(hi)
 
 
@@ -248,59 +255,80 @@ def distance_to_faces(P: IntegralOrthotope, faces: Sequence) -> Fraction:
 def _directed_halves(dim: int, source: list, target: list) -> int:
     """Smallest k such that ``source`` lies inside ``target`` dilated by
     k/2, both unions taken closed.  Distances between integer box unions
-    are half-integral, so the search over integers is exact."""
-    doubled_src = [_double(b) for b in source]
-    doubled_tgt = [_double(b) for b in target]
-    if _covered(dim, doubled_src, doubled_tgt, 0):
+    are half-integral, so the search over integers is exact.  Each source
+    box's hold radius is found once, before the search; a probe then
+    examines only the boxes that no single inflated target box holds."""
+    src, tgt = _doubled_arrays(dim, source, target)
+    hold = _hold_radii(src, tgt)
+    if _covered(dim, src, tgt, hold, 0):
         return 0
-    lo_all = [min(b[0][j] for b in doubled_src + doubled_tgt) for j in range(dim)]
-    hi_all = [max(b[1][j] for b in doubled_src + doubled_tgt) for j in range(dim)]
-    hi = max(h - l for l, h in zip(lo_all, hi_all))
-    if not _covered(dim, doubled_src, doubled_tgt, hi):
+    both = np.concatenate([src, tgt])
+    hi = int((both[:, 1].max(axis=0) - both[:, 0].min(axis=0)).max())
+    if not _covered(dim, src, tgt, hold, hi):
         raise ConsistencyError("dilation by the full span failed to cover")
     lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _covered(dim, doubled_src, doubled_tgt, mid):
+        if _covered(dim, src, tgt, hold, mid):
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def _double(box):
-    lo, hi = box
-    return tuple(2 * c for c in lo), tuple(2 * c for c in hi)
+def _doubled_arrays(dim: int, *unions: list) -> list:
+    """Each union's boxes as one (boxes, 2, dim) array of doubled
+    coordinates: int64 while every doubled coordinate is below 2^61 in
+    magnitude, so that no difference of two coordinates and no coordinate
+    inflated by at most the span passes int64, and Python ints otherwise."""
+    top = max(abs(c) for boxes in unions for lo, hi in boxes for c in lo + hi)
+    dtype = np.int64 if 2 * top < 1 << 61 else object
+    return [2 * np.array(boxes, dtype=dtype).reshape(-1, 2, dim) for boxes in unions]
 
 
-def _covered(dim: int, source: list, target: list, radius: int) -> bool:
+def _chunk_rows(target: np.ndarray) -> int:
+    """How many source boxes to compare with every target box at once, so
+    that each comparison holds at most ``_PAIR_CHUNK`` coordinates."""
+    return max(1, _PAIR_CHUNK // target[:, 0].size)
+
+
+def _hold_radii(source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The hold radius of each source box: the least radius at which one
+    inflated target box contains it, the minimum over target boxes of the
+    largest amount by which the source box sticks out of it."""
+    step = _chunk_rows(target)
+    radii = []
+    for start in range(0, len(source), step):
+        lo, hi = source[start : start + step, None, 0], source[start : start + step, None, 1]
+        out = np.maximum(target[:, 0] - lo, hi - target[:, 1])
+        radii.append(out.max(axis=2).min(axis=1))
+    return np.concatenate(radii)
+
+
+def _covered(dim: int, source: np.ndarray, target: np.ndarray, hold, radius: int) -> bool:
     """Whether every point of the closed union ``source`` lies in the
-    closed union ``target`` inflated by ``radius``.  Each source box is
-    checked against the inflated boxes meeting it, on the interleaved grid
-    of points and open intervals spanned by their coordinates clipped to
-    the box; on that grid every minimal piece is entirely in or out, so
-    slab bookkeeping is exact even for degenerate boxes."""
-    grown = [
-        (tuple(c - radius for c in lo), tuple(c + radius for c in hi))
-        for lo, hi in target
-    ]
-    for lo, hi in source:
-        if any(
-            all(blo[j] <= lo[j] and hi[j] <= bhi[j] for j in range(dim))
-            for blo, bhi in grown
-        ):
-            continue
-        near = [
-            (blo, bhi)
-            for blo, bhi in grown
-            if all(blo[j] <= hi[j] and lo[j] <= bhi[j] for j in range(dim))
-        ]
-        if not _box_covered(dim, lo, hi, near):
-            return False
+    closed union ``target`` inflated by ``radius``.  A source box whose
+    hold radius is at most ``radius`` lies in one inflated box.  Each other
+    box is checked against the inflated boxes meeting it, on the
+    interleaved grid of points and open intervals spanned by their
+    coordinates clipped to the box; on that grid every minimal piece is
+    entirely in or out, so slab bookkeeping is exact even for degenerate
+    boxes."""
+    pending = np.flatnonzero(hold > radius)
+    grown_lo, grown_hi = target[:, 0] - radius, target[:, 1] + radius
+    step = _chunk_rows(target)
+    for start in range(0, len(pending), step):
+        rows = source[pending[start : start + step]]
+        lo, hi = rows[:, None, 0], rows[:, None, 1]
+        meets = ((grown_lo <= hi) & (lo <= grown_hi)).all(axis=2)
+        for (blo, bhi), near in zip(rows.tolist(), meets):
+            cover = list(zip(grown_lo[near].tolist(), grown_hi[near].tolist()))
+            if not _box_covered(dim, blo, bhi, cover):
+                return False
     return True
 
 
-def _box_covered(dim: int, lo: tuple, hi: tuple, cover: list) -> bool:
+def _box_covered(dim: int, lo: Sequence, hi: Sequence, cover: list) -> bool:
     if not cover:
         return False
     axes = []
@@ -309,13 +337,13 @@ def _box_covered(dim: int, lo: tuple, hi: tuple, cover: list) -> bool:
         for blo, bhi in cover:
             vals.add(min(max(blo[j], lo[j]), hi[j]))
             vals.add(min(max(bhi[j], lo[j]), hi[j]))
-        axes.append(np.array(sorted(vals), dtype=np.int64))
+        axes.append(sorted(vals))
     occ = np.zeros(tuple(2 * len(c) - 1 for c in axes), dtype=bool)
     for blo, bhi in cover:
         sel = tuple(
             slice(
-                2 * int(np.searchsorted(axes[j], max(blo[j], lo[j]))),
-                2 * int(np.searchsorted(axes[j], min(bhi[j], hi[j]))) + 1,
+                2 * bisect.bisect_left(axes[j], max(blo[j], lo[j])),
+                2 * bisect.bisect_left(axes[j], min(bhi[j], hi[j])) + 1,
             )
             for j in range(dim)
         )

@@ -553,6 +553,15 @@ def _label_bytes(shape: tuple) -> int:
     return 33 * positions + 65 * joins + (1 << 16)
 
 
+def _cubical_bytes(sizes: tuple) -> int:
+    """Peak bytes of the cubical Euler oracle on a closed-cell grid of
+    these sizes: a bool per cell, then, while the last axis is summed
+    away, the two int64 partial sums and their difference over the other
+    axes (every later axis sums a smaller grid), and 128 KiB for numpy's
+    casting buffers and small arrays."""
+    return math.prod(sizes) + 24 * math.prod(sizes[:-1]) + (1 << 17)
+
+
 def _code_dtype(count: int):
     return np.int16 if count <= np.iinfo(np.int16).max else np.int32
 
@@ -989,6 +998,7 @@ def euler(P: IntegralOrthotope, method: EulerMethod = EulerMethod.SIGMA_SUM) -> 
     scan = _scan_for(P)
     occ = scan.occ
     sizes = tuple(2 * s + 1 for s in occ.shape)
+    _check_budget(sizes, _cubical_bytes(sizes))
     present = np.zeros(sizes, dtype=bool)
     for offset in itertools.product((0, 1, 2), repeat=d):
         sel = tuple(
@@ -1132,13 +1142,18 @@ def face_poset(P: IntegralOrthotope) -> FacePoset:
         + [(slice(1, n - 1, 2), slice(1 + o, n - 1 + o, 2)) for o in (-1, 1)]
         for n in labels.shape
     ]
+    # The pair codes of every offset are sorted once and deduplicated by
+    # comparing neighbours: plain ``np.unique`` imports ``numpy.ma``.
     found = []
     for step in itertools.islice(itertools.product(*steps), 1, None):
         src, tgt = zip(*step)
         a, b = face_at[src], face_at[tgt]
         hit = (a != b) & (a >= 0) & (b >= 0)
-        found.append(np.unique(a[hit] * len(faces) + b[hit]))
-    inner, outer = np.divmod(np.unique(np.concatenate(found)), len(faces))
+        found.append(a[hit] * len(faces) + b[hit])
+    codes = np.sort(np.concatenate(found))
+    first = np.ones(codes.shape, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    inner, outer = np.divmod(codes[first], len(faces))
     return FacePoset(faces, frozenset(zip(inner.tolist(), outer.tolist())))
 
 

@@ -30,6 +30,37 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_repair_paths_load_no_numpy_ma():
+    """A fresh process that analyzes, builds a face poset, thickens and
+    measures Hausdorff distances never imports ``numpy.ma``, which costs
+    a dozen milliseconds at start-up."""
+    probe = """
+import sys
+from orthotopes import cli
+from orthotopes.genericize import distance_to_faces, hausdorff_distance, thicken
+from orthotopes.lattice import face_poset, from_boxes
+
+P = from_boxes(2, [((0, 0), (3, 1)), ((1, 0), (2, 3))])
+Q = from_boxes(3, [((0, 0, 0), (2, 2, 1)), ((0, 0, 1), (1, 1, 2)), ((1, 1, 1), (2, 2, 2))])
+for model in (P, Q):
+    cli._report(model)
+face_poset(P)
+faces = [((0, 0), (None, None)), ((1, 1), (0, None))]
+R = thicken(2, faces, 1)
+distance_to_faces(R, faces)
+hausdorff_distance(P, R)
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=child_env(),
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def _third_party_imports() -> set:
     names = set()
     for path in sorted(PACKAGE.glob("*.py")):

@@ -1,10 +1,13 @@
 """Thickening, random generation, and the exact Hausdorff distance."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from orthotopes import genericize
 from orthotopes.genericize import (
     PadSchedule,
     _pad_schedule,
@@ -15,6 +18,7 @@ from orthotopes.genericize import (
     thicken,
 )
 from orthotopes.lattice import (
+    _COORDINATE_RANGE,
     SetOp,
     check_generic,
     classify_point,
@@ -68,6 +72,21 @@ def test_face_box_spans_and_pins():
     assert face_box((2, 5), (1, 0)) == ((3, 5), (3, 5))
     with pytest.raises(ValueError):
         face_box((0, 0), (2, None))
+
+
+def test_face_box_refuses_specs_that_only_compare_equal_to_0_or_1():
+    # the rule of cli.load_faces: None, or an int that is not a bool
+    square = from_boxes(2, [((0, 0), (2, 2))])
+    for entry in (True, False, 1.0, 0.0, Fraction(1), np.int64(1)):
+        spec = (entry, None)
+        with pytest.raises(ValueError, match="spec entry"):
+            face_box((0, 0), spec)
+        with pytest.raises(ValueError, match="spec entry"):
+            thicken(2, [((0, 0), spec)], 1)
+        with pytest.raises(ValueError, match="spec entry"):
+            distance_to_faces(square, [((0, 0), spec)])
+    assert face_box((0, 0), (1, None)) == ((1, 0), (1, 1))
+    assert face_box((0, 0), (0, 1)) == ((0, 1), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +251,11 @@ def test_hausdorff_unit_translate():
     cube = from_boxes(3, [((0, 0, 0), (1, 1, 1))])
     moved = from_boxes(3, [((1, 0, 0), (2, 1, 1))])
     assert hausdorff_distance(cube, moved) == 1
+    # doubled, these coordinates pass int64
+    top = _COORDINATE_RANGE[1]
+    end = from_boxes(1, [((top - 1,), (top,))])
+    for scale, gap in ((1, 1), (2, Fraction(top + 1, 2))):
+        assert hausdorff_distance(end, from_boxes(1, [((top - 2,), (top - 1,))], scale)) == gap
 
 
 def test_hausdorff_uses_chebyshev_metric():
@@ -316,3 +340,218 @@ def test_face_box_and_distance_to_faces_check_face_arity():
     for face in (((0, 0, 5), (None, None, None)), ((0,), (None,)), ((0, 0), (None,))):
         with pytest.raises(ValueError, match="arity"):
             distance_to_faces(square, [((0, 0), (None, None)), face])
+
+
+# ---------------------------------------------------------------------------
+# differential gate: the distance search against its per-probe form
+
+
+def _oracle_halves(dim, source, target):
+    """The search with no hold radii: every probe tests every (source box,
+    target box) pair again, on Python tuples."""
+    src = [tuple(tuple(2 * c for c in side) for side in box) for box in source]
+    tgt = [tuple(tuple(2 * c for c in side) for side in box) for box in target]
+    if _oracle_covered(dim, src, tgt, 0):
+        return 0
+    lo_all = [min(b[0][j] for b in src + tgt) for j in range(dim)]
+    hi_all = [max(b[1][j] for b in src + tgt) for j in range(dim)]
+    lo, hi = 0, max(h - l for l, h in zip(lo_all, hi_all))
+    assert _oracle_covered(dim, src, tgt, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _oracle_covered(dim, src, tgt, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _oracle_covered(dim, source, target, radius):
+    grown = [
+        (tuple(c - radius for c in lo), tuple(c + radius for c in hi))
+        for lo, hi in target
+    ]
+    for lo, hi in source:
+        if any(
+            all(blo[j] <= lo[j] and hi[j] <= bhi[j] for j in range(dim))
+            for blo, bhi in grown
+        ):
+            continue
+        near = [
+            (blo, bhi)
+            for blo, bhi in grown
+            if all(blo[j] <= hi[j] and lo[j] <= bhi[j] for j in range(dim))
+        ]
+        if not genericize._box_covered(dim, lo, hi, near):
+            return False
+    return True
+
+
+def _oracle_hausdorff(P, Q):
+    common = math.lcm(P.scale, Q.scale)
+    a = [tuple(tuple(c * common // P.scale for c in s) for s in b) for b in P.boxes]
+    b = [tuple(tuple(c * common // Q.scale for c in s) for s in b) for b in Q.boxes]
+    return Fraction(max(_oracle_halves(P.dim, a, b), _oracle_halves(P.dim, b, a)), 2 * common)
+
+
+def _oracle_distance_to_faces(P, faces):
+    n = P.scale
+    targets = [
+        tuple(tuple(c * n for c in side) for side in face_box(v, spec)) for v, spec in faces
+    ]
+    a = list(P.boxes)
+    k = max(_oracle_halves(P.dim, a, targets), _oracle_halves(P.dim, targets, a))
+    return Fraction(k, 2 * n)
+
+
+# Anchors that put every coordinate near 0, on either side of the int64
+# threshold of the search (doubled coordinates at 2^61), or within a few
+# units of either end of the coordinate range, where doubled coordinates
+# pass int64.
+_ANCHORS = (0, 2**60 - 6, -(2**60) - 2, _COORDINATE_RANGE[0] + 2, _COORDINATE_RANGE[1] - 3)
+
+
+def _box_family(rng, dim):
+    """A few proper boxes in [0, 24]^dim: nested, touching or apart."""
+    boxes = []
+    for _ in range(rng.randrange(1, 5)):
+        kind = rng.choice(("free", "nested", "touching", "apart")) if boxes else "free"
+        if kind == "free":
+            lo = [rng.randrange(0, 9) for _ in range(dim)]
+            hi = [c + rng.randrange(1, 4) for c in lo]
+        else:
+            plo, phi = map(list, rng.choice(boxes))
+            lo, hi = plo[:], phi[:]
+            j = rng.randrange(dim)
+            if kind == "nested":
+                lo = [rng.randrange(a, b) for a, b in zip(plo, phi)]
+                hi = [rng.randrange(a + 1, b + 1) for a, b in zip(lo, phi)]
+            elif kind == "touching":
+                lo[j], hi[j] = phi[j], phi[j] + rng.randrange(1, 3)
+            else:
+                lo[j] = phi[j] + rng.randrange(1, 3)
+                hi[j] = lo[j] + rng.randrange(1, 3)
+        boxes.append((tuple(lo), tuple(hi)))
+    return boxes
+
+
+def _placed(boxes, anchor):
+    """The boxes moved to start at ``anchor``, or to end at the top of the
+    coordinate range where they would pass it."""
+    shift = anchor - min(c for lo, _hi in boxes for c in lo)
+    shift = min(shift, _COORDINATE_RANGE[1] - max(c for _lo, hi in boxes for c in hi))
+    return [(tuple(c + shift for c in lo), tuple(c + shift for c in hi)) for lo, hi in boxes]
+
+
+def _record_dtypes(monkeypatch):
+    """The dtype of every set of arrays the distance search builds."""
+    seen = set()
+    original = genericize._doubled_arrays
+
+    def recording(dim, *unions):
+        arrays = original(dim, *unions)
+        seen.add(arrays[0].dtype)
+        return arrays
+
+    monkeypatch.setattr(genericize, "_doubled_arrays", recording)
+    return seen
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_hausdorff_search_matches_the_per_probe_oracle(monkeypatch, chunk):
+    if chunk is not None:  # one source box per chunk: every chunk edge is crossed
+        monkeypatch.setattr(genericize, "_PAIR_CHUNK", chunk)
+    seen = _record_dtypes(monkeypatch)
+    rng = random.Random(1604 + (chunk or 0))
+    for case in range(200):
+        dim = 1 + case % 3
+        anchor = _ANCHORS[case % len(_ANCHORS)]
+        scales = rng.choice(((1, 1), (1, 2), (2, 3), (3, 3)))
+        P = from_boxes(dim, _placed(_box_family(rng, dim), anchor), scales[0])
+        Q = from_boxes(dim, _placed(_box_family(rng, dim), anchor), scales[1])
+        assert hausdorff_distance(P, Q) == _oracle_hausdorff(P, Q), (P.boxes, Q.boxes)
+    assert seen == {np.dtype(np.int64), np.dtype(object)}
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_distance_to_faces_matches_the_per_probe_oracle(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(genericize, "_PAIR_CHUNK", chunk)
+    seen = _record_dtypes(monkeypatch)
+    rng = random.Random(2718 + (chunk or 0))
+    for case in range(200):
+        dim = 1 + case % 3
+        anchor = _ANCHORS[case % len(_ANCHORS)]
+        scale = rng.choice((1, 1, 2, 3))
+        # faces in true units near anchor / scale, the model near anchor
+        at = min(anchor // scale, _COORDINATE_RANGE[1] - 1)
+        faces = [
+            (
+                tuple(at - rng.randrange(0, 8) for _ in range(dim)),
+                tuple(rng.choice((0, 1, None)) for _ in range(dim)),
+            )
+            for _ in range(rng.randrange(1, 5))
+        ]
+        if anchor == 0 and case % 2 == 0:
+            P = thicken(dim, faces, rng.choice((Fraction(1, 2), 1, 3)))
+        else:
+            P = from_boxes(dim, _placed(_box_family(rng, dim), anchor), scale)
+        assert distance_to_faces(P, faces) == _oracle_distance_to_faces(P, faces), (P, faces)
+    assert seen == {np.dtype(np.int64), np.dtype(object)}
+
+
+def _split_cover(rng, dim):
+    """A box flat on axis j and targets a gap g beyond it on that axis,
+    split along axis k into pieces longer than g: at radius g they meet
+    the box only by touching it, and no single one of them holds it."""
+    j, k = rng.sample(range(dim), 2)
+    gap = rng.randrange(1, 3)
+    cut = rng.randrange(gap + 1, 2 * gap + 2)
+    length = cut + rng.randrange(gap + 1, 2 * gap + 2)
+    lo, hi = [0] * dim, [rng.randrange(1, 4) for _ in range(dim)]
+    lo[j] = hi[j] = 5
+    hi[k] = length
+    side = rng.choice((-1, 1))
+    target = []
+    for a, b in ((0, cut), (cut, length)):
+        tlo, thi = lo[:], hi[:]
+        tlo[k], thi[k] = a, b
+        tlo[j] = thi[j] = 5 + side * gap
+        if side > 0:
+            thi[j] += rng.randrange(1, 3)
+        else:
+            tlo[j] -= rng.randrange(1, 3)
+        target.append((tuple(tlo), tuple(thi)))
+    return [(tuple(lo), tuple(hi))], target
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_directed_search_matches_the_oracle_on_flat_sources(monkeypatch, chunk):
+    # Faces are flat, and a flat box can need boxes that only touch it, so
+    # the public distances alone would hide a search that drops touching
+    # boxes: the other direction is the larger one there.
+    if chunk is not None:
+        monkeypatch.setattr(genericize, "_PAIR_CHUNK", chunk)
+    rng = random.Random(3141 + (chunk or 0))
+    for case in range(300):
+        dim = 1 + case % 3
+        anchor = _ANCHORS[case % len(_ANCHORS)]
+        if dim > 1 and case % 2:
+            source, target = _split_cover(rng, dim)
+        else:
+            source = []
+            for _ in range(rng.randrange(1, 4)):
+                lo = [rng.randrange(0, 8) for _ in range(dim)]
+                source.append((tuple(lo), tuple(c + rng.choice((0, 0, 2, 5)) for c in lo)))
+            target = []
+            for _ in range(rng.randrange(1, 7)):
+                lo = [rng.randrange(0, 10) for _ in range(dim)]
+                target.append((tuple(lo), tuple(c + rng.randrange(1, 5) for c in lo)))
+        shift = min(anchor, _COORDINATE_RANGE[1] - 20)
+        source, target = (
+            [(tuple(c + shift for c in lo), tuple(c + shift for c in hi)) for lo, hi in u]
+            for u in (source, target)
+        )
+        assert genericize._directed_halves(dim, source, target) == _oracle_halves(
+            dim, source, target
+        ), (source, target)

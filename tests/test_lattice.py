@@ -1699,6 +1699,43 @@ def test_cubical_euler_peak_stays_under_the_scan_estimate():
     assert chi == euler(P)
 
 
+def test_cubical_euler_is_charged_before_its_grid(monkeypatch):
+    for P in (unit_cube(5), random_generic(3, 30, 130, seed=1)):
+        sizes = tuple(2 * n + 1 for n in lattice._scan_for(P).occ.shape)
+        tracemalloc.start()
+        try:
+            chi = euler(P, EulerMethod.CUBICAL_COMPLEX)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chi == euler(P)
+        assert peak <= lattice._cubical_bytes(sizes)
+
+    # a limit the scan fits under and the cubical grid does not
+    P = unit_cube(5)
+    charges = []
+    original = lattice._check_budget
+    monkeypatch.setattr(
+        lattice, "_check_budget", lambda shape, est: (charges.append(est), original(shape, est))
+    )
+    sizes = tuple(2 * n + 1 for n in lattice._Scan(P).occ.shape)
+    cubical = lattice._cubical_bytes(sizes)
+    assert max(charges) < cubical
+    monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", (max(charges) + cubical) // 2)
+    assert check_generic(P)
+    tracemalloc.start()
+    try:
+        with pytest.raises(lattice.ScanTooLargeError) as info:
+            euler(P, EulerMethod.CUBICAL_COMPLEX)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.positions == math.prod(sizes)
+    assert info.value.estimate == cubical
+    assert peak < math.prod(sizes)  # refused before the grid was allocated
+    assert euler(P, EulerMethod.SIGMA_SUM) == 1
+
+
 def _count_scans(monkeypatch):
     """Record the model of every scan built from now on."""
     built = []
