@@ -13,6 +13,7 @@ the facet, edge and cross-section operations of the cone it spans.
 from __future__ import annotations
 
 import enum
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -174,15 +175,11 @@ def _axis_signs(dim: int, mask: int) -> dict[int, int]:
     neither holds."""
     signs = {}
     for pos in range(dim):
-        plus = _cofactor(mask, dim, pos, True)
-        minus = _cofactor(mask, dim, pos, False)
-        if plus != minus:
-            if not minus & ~plus:
-                signs[pos + 1] = 1
-            elif not plus & ~minus:
-                signs[pos + 1] = -1
-            else:
-                signs[pos + 1] = 0
+        half = _half_space_mask(dim, pos, True)
+        # the two cross-sections, the positive one shifted onto the negative
+        up, down = (mask & half) >> (1 << pos), mask & ~half
+        if up != down:
+            signs[pos + 1] = 1 if not down & ~up else -1 if not up & ~down else 0
     return signs
 
 
@@ -313,9 +310,11 @@ def _read_once(mask: int, dim: int, block: list[int], positive: dict[int, bool])
         for i in block
     ]
     n = len(block)
-    meets = [
-        sum(1 << j for j in range(n) if j != i and crit[i] & crit[j]) for i in range(n)
-    ]
+    meets = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if crit[i] & crit[j]:
+            meets[i] |= 1 << j
+            meets[j] |= 1 << i
     parts = _components(meets)
     if len(parts) > 1:
         kind, holds = Parallel, False

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .arrangement import (
     DEGENERATE,
     OrthantSet,
     SetOp,
-    _axis_signs,
     _cofactor,
     _half_space_mask,
     _recognize,
@@ -107,10 +106,11 @@ class ConsistencyError(RuntimeError):
 
 
 class ScanTooLargeError(MemoryError):
-    """Raised before a classification scan, or the region labelling of
-    ``face_poset``, allocates its doubled grid when the estimated peak
-    exceeds the scan's memory budget.  ``positions`` is the size of the
-    doubled grid and ``estimate`` the peak in bytes."""
+    """Raised before a classification scan, the region labelling of
+    ``face_poset`` or the occupancy that ``==`` and ``hash`` compare
+    allocates its grid when the estimated peak exceeds the scan's memory
+    budget.  ``positions`` is the size of the doubled grid and ``estimate``
+    the peak in bytes."""
 
     def __init__(self, positions: int, estimate: int):
         self.positions = positions
@@ -251,7 +251,8 @@ class IntegralOrthotope:
     invariant of one instance shares a single scan.  Instances are
     immutable; equality and hash compare dim, scale and the point set,
     through its coarsest slab occupancy, so they neither materialize the
-    cells nor touch the cached scan.
+    cells nor touch the cached scan.  Like a scan, they raise
+    ``ScanTooLargeError`` before that occupancy would pass the budget.
     """
 
     __slots__ = ("dim", "scale", "_boxes", "_cells", "_scan")
@@ -380,8 +381,7 @@ def _half(value) -> Fraction:
 # local profiles of orthant-set masks
 
 
-@dataclass(frozen=True)
-class _MaskProfile:
+class _MaskProfile(NamedTuple):
     mu_d: int
     tau_d: int
     essential: tuple[int, ...]
@@ -426,25 +426,26 @@ def _mirrored(dim: int, mask: int, axes) -> int:
     return mask
 
 
-def _vertex_profile(dim: int, mask: int, signs: Mapping[int, int]) -> _MaskProfile:
-    """The profile of a cone with every axis essential, ``signs`` being its
-    ``_axis_signs``, with one recognition per sign class.  A cone that is
-    not unate in some axis is degenerate, as ``_recognize`` decides.
+def _vertex_profile(dim: int, mask: int, negative: int, mixed: int) -> _MaskProfile:
+    """The profile of a cone with every axis essential, ``negative`` and
+    ``mixed`` being its carried signs (see ``_pair_codes``), with one
+    recognition per sign class.  A cone with a mixed axis, not unate in
+    it, is degenerate, as ``_recognize`` decides.
     Otherwise mirroring every negative-unate axis gives the monotone
     representative of its class, and the cone is floral iff that is:
     negating a literal keeps the diagram's shape, so the class key, the
     bouquet sign and mu_d carry over, tau_d changes sign once per mirrored
     axis, and on a mirrored axis so do the literal and the edge direction."""
-    neg = frozenset(a for a, s in signs.items() if s < 0)
+    neg = frozenset(a for a in range(1, dim + 1) if negative >> (a - 1) & 1)
     rep = None
-    if 0 not in signs.values():
+    if not mixed:
         rep = _mask_profile(dim, _mirrored(dim, mask, neg))
         if not neg:
             return rep
     if rep is None or rep.degenerate:
         mu_d, tau_d = orthant_counts(OrthantSet(dim, mask))
         return _MaskProfile(
-            mu_d, tau_d, tuple(signs), 0, DEGENERATE, True, False, None, 0, None
+            mu_d, tau_d, tuple(range(1, dim + 1)), 0, DEGENERATE, True, False, None, 0, None
         )
     diagram = SignedSpd(rep.floral.shape, neg)
     if orthants_of(diagram, dim).mask != mask:
@@ -478,7 +479,7 @@ def _occupancy(P: IntegralOrthotope, edges) -> np.ndarray:
     d = P.dim
     occ = np.zeros(tuple(len(e) - 1 for e in edges), dtype=bool)
     corners = np.array(P.boxes, dtype=np.int64).reshape(-1, 2, d)
-    slabs = np.stack([np.searchsorted(edges[j], corners[..., j]) for j in range(d)], -1)
+    slabs = np.array([edges[j].searchsorted(corners[..., j]) for j in range(d)]).transpose(1, 2, 0)
     for start in range(0, len(slabs), _OCCUPANCY_CHUNK):
         for lo, hi in slabs[start : start + _OCCUPANCY_CHUNK].tolist():
             occ[tuple(map(slice, lo, hi))] = True
@@ -489,10 +490,13 @@ def _canonical_occupancy(P: IntegralOrthotope):
     """The compressed occupancy with every slab equal to its neighbour
     merged away, as (edges, occupancy bytes); ``None`` when empty.  What is
     left has an edge only where the point set changes, so two orthotopes of
-    the same dim and scale have the same cells iff these agree."""
+    the same dim and scale have the same cells iff these agree.  Its two
+    grids, a byte per slab each, are charged before they are allocated."""
     if P.is_empty:
         return None
     edges = _slab_edges(P)
+    slabs = tuple(len(e) - 1 for e in edges)
+    _check_budget(tuple(2 * n - 1 for n in slabs), 2 * math.prod(slabs))
     occ = _occupancy(P, edges)
     for j in range(P.dim):
         others = tuple(k for k in range(P.dim) if k != j)
@@ -563,7 +567,7 @@ def _cubical_bytes(sizes: tuple) -> int:
 
 
 def _code_dtype(count: int):
-    return np.int16 if count <= np.iinfo(np.int16).max else np.int32
+    return np.int16 if count < 1 << 15 else np.int32
 
 
 def _hash_cons(pair: np.ndarray, size: int):
@@ -578,22 +582,10 @@ def _hash_cons(pair: np.ndarray, size: int):
         return used, inverse.astype(_code_dtype(len(used))).reshape(pair.shape)
     present = np.zeros(size, dtype=bool)
     present[pair] = True
-    used = np.flatnonzero(present)
+    used = present.nonzero()[0]
     rank = np.zeros(size, dtype=_code_dtype(len(used)))
     rank[used] = np.arange(len(used))
     return used, rank[pair]
-
-
-def _row_runs(occ: np.ndarray):
-    """The occupancy as runs along the last axis: the C-order flat index of
-    the first slab of each run, every row's first slab included, and the
-    run's occupancy as code 0 or 1."""
-    flat = occ.reshape(-1, occ.shape[-1]).view(np.int8)
-    change = np.empty(flat.shape, dtype=bool)
-    change[:, 0] = True
-    np.not_equal(flat[:, 1:], flat[:, :-1], out=change[:, 1:])
-    keys = change.reshape(-1).nonzero()[0]
-    return keys, flat.reshape(-1)[keys]
 
 
 def _run_ends(keys: np.ndarray, size: int) -> np.ndarray:
@@ -607,16 +599,44 @@ def _run_ends(keys: np.ndarray, size: int) -> np.ndarray:
 
 def _pair_codes(pair: np.ndarray, table: list, j: int):
     """Code the edges of axis j whose pair codes are ``pair``.  Table codes
-    index masks in which bit s < 2^j is the occupancy of the neighbouring
-    cell on the hi side of axis i when bit i of s is set and on the lo side
-    otherwise.  An edge of axis j has the mask of its hi slab shifted up by
-    2^j over that of its lo slab, so it is fixed by the pair code
-    hi * K + lo, K = len(table).  The pairs found are coded 0, 1, ... in
-    pair order, so every code is used."""
+    index (mask, pos, neg, mixed) entries; in the mask, bit s < 2^j is the
+    occupancy of the neighbouring cell on the hi side of axis i when bit i
+    of s is set and on the lo side otherwise.  An edge of axis j has the
+    mask of its hi slab shifted up by 2^j over that of its lo slab, so it
+    is fixed by the pair code hi * K + lo, K = len(table).  The pairs found
+    are coded 0, 1, ... in pair order, so every code is used.  Bit i of
+    ``pos``, ``neg`` or ``mixed`` is set when the mask is positive-unate,
+    negative-unate or essential but neither in axis i (``_axis_signs``,
+    carried): before axis j, a mixed side or opposite sides make it mixed;
+    on axis j, lo inside hi makes it positive and hi inside lo negative."""
     k = len(table)
     used, out = _hash_cons(pair, k * k)
-    shift = 1 << j
-    return out, [(table[p // k] << shift) | table[p % k] for p in used.tolist()]
+    shift = 1 << j  # both the mask's half width and axis j's bit
+    entries = []
+    for p in used.tolist():
+        (hi, hpos, hneg, hmix), (lo, lpos, lneg, lmix) = table[p // k], table[p % k]
+        mixed = hmix | lmix | (hpos & lneg) | (hneg & lpos)
+        if hi != lo:
+            up, down = not lo & ~hi, not hi & ~lo
+            hpos, hneg = hpos | shift * up, hneg | shift * down
+            mixed |= shift * (up == down)
+        entries.append(((hi << shift) | lo, (hpos | lpos) & ~mixed, (hneg | lneg) & ~mixed, mixed))
+    return out, entries
+
+
+def _first_pass(occ: np.ndarray):
+    """The pass on axis 0, dense on the slab occupancy, its codes those of
+    the empty and the full cell, read off as runs along the last axis and
+    numbered as ``_pair_rows`` numbers them (see ``_Scan``)."""
+    flat = occ.view(np.int8)
+    pair = flat[1:] * 2 + flat[:-1]
+    rows = pair.reshape(-1, pair.shape[-1])
+    start = np.empty(rows.shape, dtype=bool)
+    start[:, 0] = True
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=start[:, 1:])
+    keys = start.reshape(-1).nonzero()[0]
+    out, table = _pair_codes(rows.reshape(-1)[keys], [(0, 0, 0, 0), (1, 0, 0, 0)], 0)
+    return keys, out, table
 
 
 def _pair_rows(keys: np.ndarray, codes: np.ndarray, size: int, step: int, table, j):
@@ -725,25 +745,24 @@ class _Scan:
     The scan composes the codes of the vertex grid, the all-odd positions,
     as runs along the last axis: ``vertex_runs`` holds the C-order flat
     index of the first position of each maximal run, the first of every
-    row included, and the run's code into ``vertex_masks``.  It starts from
-    the runs of the slab occupancy, codes 0 and 1, and pairs one axis at a
-    time, as Bentley's sweep for Klee's measure problem keeps its
-    cross-sections: on an axis before the last, each row pairs with the row
-    after it by merging their run starts (see ``_pair_rows``); on the last
-    axis, each run with its successor (see ``_pair_last``).  Each pass
-    hash-conses its pairs (see ``_pair_codes``), so the codes are those of
-    a dense pass, and its work and memory grow with the runs, which change
-    only at the boundary, not with the grid's volume; only the run starts
-    of the occupancy are found by one pass over it.  Each pass is checked
-    against the budget on its runs before it allocates (see
-    ``_run_bytes``).  The runs decide the verdict and give every vertex: a
-    slab interior's cone is the cylinder over a one-sided cross-section of
-    the cone at the edge beside it, and cross-sections of floral cones are
-    floral.  For the same reason a degenerate cylinder forces a degenerate
-    cone with every axis essential, so only those are recognized:
-    ``profiles`` maps each vertex-grid mask of degree 0 to its profile,
-    read off one recognition per sign class (see ``_vertex_profile``); any
-    other mask is only found to have an inessential axis.  The codes of the
+    row included, and the run's code into ``vertex_masks``.  It pairs axis
+    0 densely on the slab occupancy, read once (see ``_first_pass``), then
+    one axis at a time, as Bentley's sweep for Klee's measure problem keeps
+    its cross-sections: on an axis before the last, each row pairs with the
+    row after it by merging their run starts (see ``_pair_rows``); on the
+    last axis, each run with its successor (see ``_pair_last``).  Each pass
+    hash-conses its pairs and carries their axis signs, ``vertex_signs``
+    (see ``_pair_codes``), so the codes are those of a dense pass; a run
+    pass's work and memory grow with the runs, which change only at the
+    boundary, not with the grid's volume, and it is checked against the
+    budget on its runs before it allocates (see ``_run_bytes``).  The runs
+    decide the verdict and give every vertex: a slab interior's cone is the
+    cylinder over a one-sided cross-section of the cone at the edge beside
+    it, and cross-sections of floral cones are floral.  For the same reason
+    a degenerate cylinder forces a degenerate cone with every axis
+    essential, so only those, read off the carried signs, are recognized:
+    ``profiles`` maps each to its profile, one recognition per sign class
+    (see ``_vertex_profile``).  The codes of the
     whole grid, ``inverse`` into ``unique_masks``, are derived for
     ``face_poset`` alone, on first use, from the vertex grid's dense
     ``vertex_codes``: one pass per axis interleaves the edges with the slab
@@ -758,22 +777,26 @@ class _Scan:
         self.vertex_shape = tuple(len(e) - 2 for e in self.edges)
         _check_budget(self.shape, _scan_bytes(self.shape))
         self.occ = _occupancy(P, self.edges)
-        (keys, codes), table = _row_runs(self.occ), [0, 1]
-        size, step = self.occ.size, self.occ.size
-        for j, n in enumerate(self.occ.shape[:-1]):
+        keys, codes, table = _first_pass(self.occ)
+        step = self.occ.size // len(self.occ)
+        size = self.occ.size - step
+        for j, n in enumerate(self.occ.shape[1:-1], 1):
             _check_budget(self.shape, _run_bytes(self.occ.size, len(keys), len(table)))
             step //= n
             keys, codes, table = _pair_rows(keys, codes, size, step, table, j)
             size -= step
-        _check_budget(self.shape, _run_bytes(self.occ.size, len(keys), len(table)))
-        keys, codes, table = _pair_last(keys, codes, size, self.occ.shape, table)
+        if self.dim > 1:
+            _check_budget(self.shape, _run_bytes(self.occ.size, len(keys), len(table)))
+            keys, codes, table = _pair_last(keys, codes, size, self.occ.shape, table)
         self.vertex_runs = keys, codes
-        self.vertex_masks = table
-        self.profiles = {}
-        for m in table:
-            signs = _axis_signs(self.dim, m)
-            if len(signs) == self.dim:
-                self.profiles[m] = _vertex_profile(self.dim, m, signs)
+        self.vertex_masks = [entry[0] for entry in table]
+        self.vertex_signs = [entry[1:] for entry in table]
+        full = (1 << self.dim) - 1
+        self.profiles = {
+            m: _vertex_profile(self.dim, m, neg, mixed)
+            for m, pos, neg, mixed in table
+            if pos | neg | mixed == full
+        }
 
     @property
     def vertex_codes(self) -> np.ndarray:
@@ -817,9 +840,9 @@ class _Scan:
         """The slab widths along axis j, as Python ints where the axis
         spans more than int64 holds."""
         edges = self.edges[j]
-        if int(edges[-1]) - int(edges[0]) > np.iinfo(np.int64).max:
+        if int(edges[-1]) - int(edges[0]) > 2**63 - 1:
             edges = edges.astype(object)
-        return np.diff(edges)
+        return edges[1:] - edges[:-1]
 
     # derived summaries ------------------------------------------------
 
@@ -833,7 +856,7 @@ class _Scan:
         volume, which bounds the count and every partial sum of it, fits
         there; else in Python ints."""
         bound = math.prod(int(e[-1]) - int(e[0]) for e in self.edges)
-        dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
+        dtype = np.int64 if bound < 2**63 else object
         (keys, codes), top = self.vertex_runs, (1 << self.dim) - 1
         held = np.array([m >> top for m in self.vertex_masks], dtype=bool)
         run = held[codes].nonzero()[0]
@@ -844,7 +867,7 @@ class _Scan:
         slabs = last[end - row * width] - last[start - row * width]
         volume = np.ones(1, dtype=dtype)
         for j in range(self.dim - 1):
-            volume = np.multiply.outer(volume, self.widths(j)[1:].astype(dtype)).reshape(-1)
+            volume = (volume[:, None] * self.widths(j)[1:].astype(dtype)).reshape(-1)
         return int((slabs * volume[row]).sum())
 
     def degenerate_witness(self):
@@ -862,13 +885,13 @@ class _Scan:
         return next(p for p, _m, prof in self.vertex_entries if prof.degenerate)
 
     @cached_property
-    def vertex_entries(self) -> list:
-        """(point, mask, profile) triples for all degree-0 points, in
-        lexicographic order.  Degree-0 points lie on edges in every axis,
-        so they are read off the vertex runs.  A degree-0 cone depends on
-        the last axis, so it differs from both of its neighbours along it
-        and its run is a single point.  Degenerate degree-0 points are
-        included so callers can report them."""
+    def vertex_sites(self) -> tuple:
+        """(at, codes, points) of all degree-0 points in lexicographic
+        order: their flat indices into the vertex grid, codes and points.
+        Degree-0 points lie on edges in every axis, so they are read off the
+        vertex runs.  A degree-0 cone depends on the last axis, so it differs
+        from both of its neighbours along it and its run is a single point.
+        Degenerate degree-0 points are included so callers can report them."""
         (keys, codes), table = self.vertex_runs, self.vertex_masks
         shape = self.vertex_shape
         vertex = np.array([m in self.profiles for m in table])
@@ -878,10 +901,16 @@ class _Scan:
         if len(wide):
             point = self.point_of(2 * np.array(np.unravel_index(at[wide[0]], shape)) + 1)
             raise ConsistencyError(f"vertex run at {point} is longer than one point")
-        masks = [table[c] for c in codes[hit].tolist()]
         pos = np.unravel_index(at, shape)
         coords = [self.edges[j][pos[j] + 1].tolist() for j in range(self.dim)]
-        return [(p, m, self.profiles[m]) for p, m in zip(zip(*coords), masks)]
+        return at, codes[hit], list(zip(*coords))
+
+    @cached_property
+    def vertex_entries(self) -> list:
+        """(point, mask, profile) triples of the ``vertex_sites``."""
+        _at, codes, points = self.vertex_sites
+        masks = [self.vertex_masks[c] for c in codes.tolist()]
+        return [(p, m, self.profiles[m]) for p, m in zip(points, masks)]
 
 
 def _scan_for(P: IntegralOrthotope) -> _Scan:
@@ -1016,34 +1045,41 @@ def skeleton(P: IntegralOrthotope) -> SkeletonGraph:
     along each axis, to a neighbour on that grid line, so the vertices of a
     line pair off in order; each pair must lie on one line, point its edges
     at each other and alternate tau signs, and a leftover fails the degree
-    check."""
+    check.  Lines and arcs are ordered on the ``vertex_sites``' grid
+    indices, which order as their points do."""
     scan = _require_generic(P)
     d = P.dim
-    entries = scan.vertex_entries
-    points = [point for point, _mask, _prof in entries]
-    nodes = tuple((point, prof.tau_d) for point, _mask, prof in entries)
-    tau = np.array([t for _point, t in nodes], dtype=np.int64)
-    at = np.array(points, dtype=np.int64).reshape(-1, d)
-    toward = np.array([prof.toward for _p, _m, prof in entries], np.int64).reshape(-1, d)
-    arcs = []
+    at, codes, points = scan.vertex_sites
+    profs = [scan.profiles[scan.vertex_masks[c]] for c in codes.tolist()]
+    tau = np.array([prof.tau_d for prof in profs], dtype=np.int64)
+    toward = np.array([prof.toward for prof in profs], dtype=np.int64).reshape(-1, d)
+    # every axis pairs off the same number of sites, a leftover excepted
+    lo, hi = np.empty((2, d, len(points) // 2), dtype=np.intp)
     for j in range(d):
-        others = [at[:, k] for k in reversed(range(d)) if k != j]
-        order = np.lexsort([at[:, j]] + others)
-        lo, hi = order[:-1:2], order[1::2]
+        stride = math.prod(scan.vertex_shape[j + 1 :])
+        # the site's flat index with axis j zeroed; sites already run along j
+        line = at - at // stride % scan.vertex_shape[j] * stride
+        order = np.lexsort((line,))
+        lo[j], hi[j] = order[:-1:2], order[1::2]
         for bad, what in (
-            (np.delete(at[lo] != at[hi], j, axis=1).any(axis=1), "line changes"),
-            ((toward[lo, j] != 1) | (toward[hi, j] != -1), "edges point apart"),
-            (tau[lo] != -tau[hi], "tau signs fail to alternate"),
+            (line[lo[j]] != line[hi[j]], "line changes"),
+            ((toward[lo[j], j] != 1) | (toward[hi[j], j] != -1), "edges point apart"),
+            (tau[lo[j]] != -tau[hi[j]], "tau signs fail to alternate"),
         ):
             if bad.any():
-                a, b = points[lo[bad][0]], points[hi[bad][0]]
+                a, b = points[lo[j][bad][0]], points[hi[j][bad][0]]
                 raise ConsistencyError(f"{what} along {a} .. {b}")
-        arcs.extend((points[a], points[b], j + 1) for a, b in zip(lo, hi))
-    graph = SkeletonGraph(nodes, tuple(sorted(arcs)))
-    for point, deg in graph.degrees().items():
-        if deg != P.dim:
-            raise ConsistencyError(f"vertex {point} has skeleton degree {deg}")
-    return graph
+    lo, hi = lo.reshape(-1), hi.reshape(-1)
+    degree = np.bincount(np.concatenate((lo, hi)), minlength=len(points))
+    short = (degree != d).nonzero()[0]
+    if len(short):
+        point, deg = points[short[0]], degree[short[0]]
+        raise ConsistencyError(f"vertex {point} has skeleton degree {deg}")
+    order = np.lexsort((hi, lo))
+    axis = np.arange(1, d + 1).repeat(len(points) // 2)
+    arcs = zip(lo[order].tolist(), hi[order].tolist(), axis[order].tolist())
+    nodes = tuple(zip(points, tau.tolist()))
+    return SkeletonGraph(nodes, tuple((points[a], points[b], j) for a, b, j in arcs))
 
 
 def _region_labels(scan: _Scan) -> np.ndarray:
@@ -1115,25 +1151,25 @@ def face_poset(P: IntegralOrthotope) -> FacePoset:
     bounds = np.searchsorted(owner[rows], np.arange(len(roots) + 1))
     if (np.diff(bounds) == 0).any():
         raise ConsistencyError("genericity region with no interior cell")
-    ranked = []
-    for r, (head, mask, prof) in enumerate(zip(heads.tolist(), masks, profs)):
+    # Faces in order of dim, then representative point, which orders as its
+    # grid index does: a coordinate grows strictly with its index.
+    heads = heads.tolist()
+    order = sorted(range(len(roots)), key=lambda r: (d - len(profs[r].essential), heads[r]))
+    faces = []
+    for r in order:
+        head, prof = heads[r], profs[r]
         free = tuple(a for a in range(1, d + 1) if a not in prof.essential)
         fixed = tuple(
             (a, int(scan.edges[a - 1][(head[a - 1] + 1) // 2])) for a in prof.essential
         )
-        rep_point = scan.point_of(head)
         rep = PointClass(
-            rep_point, OrthantSet(d, mask), prof.essential, prof.degree, prof.floral
+            scan.point_of(head), OrthantSet(d, masks[r]), prof.essential, prof.degree, prof.floral
         )
-        face = Face(
-            len(free), free, fixed, tuple(boxes[bounds[r] : bounds[r + 1]]), rep
-        )
-        ranked.append((face, int(roots[r])))
-    ranked.sort(key=lambda e: (e[0].dim, e[0].representative.point))
-    faces = tuple(face for face, _root in ranked)
+        faces.append(Face(len(free), free, fixed, tuple(boxes[bounds[r] : bounds[r + 1]]), rep))
+    faces = tuple(faces)
     # The face index of every position; the last slot maps the exterior's -1.
     rank = np.full(labels.size + 1, -1)
-    rank[[root for _face, root in ranked]] = np.arange(len(faces))
+    rank[roots[order]] = np.arange(len(faces))
     face_at = rank[labels]
     # Position p lies in the closure of position q iff on every axis
     # p_j == q_j, or q_j is even (a slab interior) and |p_j - q_j| == 1.

@@ -22,11 +22,12 @@ and removes it when disjunctive, which is exactly what a coordinate slice of
 the arrangement does on the appropriate side.
 
 Normal form: nodes are n-ary, no series node has a series child (same for
-parallel), children are ordered by canonical key and then by smallest axis
-label.  Every tree edit builds its nodes through ``_node``, which takes
-normal-form children and returns the normal-form node, so all public
-constructors return normal forms and structural equality is semantic
-equality.
+parallel), children are ordered by structure key (the canonical key with
+each leaf written ``x``) and then by least axis label, both computed once,
+with the axis set and edge count, when a node is built.  Every tree edit
+builds its nodes through ``_node``, which takes normal-form children and
+returns the normal-form node, so all public constructors return normal
+forms and structural equality is semantic equality.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator, Mapping, NamedTuple, Union
 
 MAX_ENUM_EDGES = 12  # enumeration guard; shape counts grow like 4^d
@@ -67,6 +69,17 @@ FULL = _Marker("Full")
 EMPTY = _Marker("Empty")
 
 
+def _settle(node, sep: str) -> None:
+    # a frozen node keeps the invariants it computes outside its compared fields
+    kids = node.children
+    node.__dict__.update(
+        structure_key="(" + sep.join(sorted([c.structure_key for c in kids])) + ")",
+        least=min([c.least for c in kids]),
+        axis_set=frozenset().union(*[c.axis_set for c in kids]),
+        edge_total=sum([c.edge_total for c in kids]),
+    )
+
+
 @dataclass(frozen=True)
 class Leaf:
     axis: int
@@ -74,6 +87,8 @@ class Leaf:
     def __post_init__(self):
         if self.axis < 1:
             raise ValueError(f"axis labels are positive integers, got {self.axis}")
+        a = self.axis
+        self.__dict__.update(structure_key="x", least=a, axis_set=frozenset((a,)), edge_total=1)
 
 
 @dataclass(frozen=True)
@@ -85,6 +100,7 @@ class Series:
             raise ValueError("series node needs at least two children")
         if any(isinstance(c, Series) for c in self.children):
             raise ValueError("series node may not have a series child")
+        _settle(self, "&")
 
 
 @dataclass(frozen=True)
@@ -96,6 +112,7 @@ class Parallel:
             raise ValueError("parallel node needs at least two children")
         if any(isinstance(c, Parallel) for c in self.children):
             raise ValueError("parallel node may not have a parallel child")
+        _settle(self, "|")
 
 
 Spd = Union[Leaf, Series, Parallel]
@@ -107,19 +124,13 @@ class EdgeKind(enum.Enum):
 
 
 def axes(spd: Spd) -> frozenset[int]:
-    """Set of axis labels (edge labels) occurring in the diagram."""
-    if isinstance(spd, Leaf):
-        return frozenset((spd.axis,))
-    out: set[int] = set()
-    for c in spd.children:
-        out.update(axes(c))
-    return frozenset(out)
+    """Set of axis labels (edge labels) occurring in the diagram, as the
+    node computed it when it was built."""
+    return spd.axis_set
 
 
 def edge_count(spd: Spd) -> int:
-    if isinstance(spd, Leaf):
-        return 1
-    return sum(edge_count(c) for c in spd.children)
+    return spd.edge_total
 
 
 def vertex_count(spd: Spd) -> int:
@@ -172,21 +183,11 @@ class SignedSpd:
 # ---------------------------------------------------------------------------
 
 
-def _child_key(child: Spd) -> str:
-    # composite children compare by their parenthesised rendering, so they
-    # sort ahead of plain literals ('(' < '0' in ASCII)
-    key = canonical_key(child)
-    return key if isinstance(child, Leaf) else "(" + key + ")"
-
-
-def _sort_key(child: Spd) -> tuple[str, int]:
-    return (_child_key(child), min(axes(child)))
-
-
 def _node(kind, kids) -> Spd:
     """The normal-form ``kind`` node over normal-form children: same-kind
     children are flattened in, a lone child stands for itself, and the
-    children are ordered by ``_sort_key``."""
+    children are ordered by structure key, then least axis, both read off
+    the children."""
     flat: list[Spd] = []
     for c in kids:
         if isinstance(c, kind):
@@ -195,7 +196,7 @@ def _node(kind, kids) -> Spd:
             flat.append(c)
     if len(flat) == 1:
         return flat[0]
-    flat.sort(key=_sort_key)
+    flat.sort(key=attrgetter("structure_key", "least"))
     return kind(tuple(flat))
 
 
@@ -229,34 +230,33 @@ def _iter_axes(spd: Spd) -> Iterator[int]:
 
 
 def canonical_form(spd: Spd) -> Spd:
-    """Representative of the unlabeled shape: children in shape order, axes
-    renumbered 1..d along a depth-first walk."""
-
-    def sort_shape(node: Spd) -> Spd:
-        if isinstance(node, Leaf):
-            return node
-        kids = sorted((sort_shape(c) for c in node.children), key=_child_key)
-        return Series(tuple(kids)) if isinstance(node, Series) else Parallel(tuple(kids))
-
-    counter = iter(range(1, edge_count(spd) + 1))
+    """Representative of the unlabeled shape: children in structure-key
+    order, axes renumbered 1..d along a depth-first walk."""
+    counter = iter(range(1, spd.edge_total + 1))
 
     def fresh(node: Spd) -> Spd:
         if isinstance(node, Leaf):
             return Leaf(next(counter))
-        kids = tuple(fresh(c) for c in node.children)
-        return Series(kids) if isinstance(node, Series) else Parallel(kids)
+        kids = sorted(node.children, key=attrgetter("structure_key"))
+        return type(node)(tuple(fresh(c) for c in kids))
 
-    return fresh(sort_shape(spd))
+    return fresh(spd)
 
 
-@lru_cache(maxsize=65536)
 def canonical_key(spd: Spd) -> str:
-    """Printable complete invariant of the unlabeled shape.
+    """Printable complete invariant of the unlabeled shape: the structure
+    key, outer parentheses dropped, with its leaves numbered 1..d in order,
+    which is ``format_expr(canonical_form(spd))`` without building it.
 
     Two diagrams get the same key exactly when they differ only by a
     relabeling of axes, which is the congruence class used by the census.
+    Keys order as structure keys do: two keys agree up to their first
+    difference, so the leaves before it carry the same numbers, and every
+    digit, like ``x``, sorts between ``)`` and ``|``.
     """
-    return format_expr(canonical_form(spd))
+    key = spd.structure_key
+    head, *rest = (key if isinstance(spd, Leaf) else key[1:-1]).split("x")
+    return head + "".join(f"{i}{part}" for i, part in enumerate(rest, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,34 @@ print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma
     assert result.stdout.strip() == "[]"
 
 
+def test_local_sequence_loads_no_numpy_ma():
+    """A fresh process that recognizes masks at d = 5..8, keys and
+    bouquets their diagrams, and analyzes the d=6 cube never imports
+    ``numpy.ma``; ``np.unique``, plain or along an axis, would."""
+    probe = """
+import sys
+from orthotopes import cli
+from orthotopes.arrangement import orthants_of, recognize
+from orthotopes.lattice import from_boxes
+from orthotopes.spd import bouquet, canonical_key, parse_expr
+
+for text in ("(1|~2)&3&(~4|5)", "1&(2|3&~4)&(5|6)", "(1&2|~3)&(4|5&6)|7", "((1|2)&3|4)&(5|~6&7)|8"):
+    found = recognize(orthants_of(parse_expr(text)))
+    canonical_key(found.shape)
+    bouquet(found.shape)
+cli._report(from_boxes(6, [((0,) * 6, (1,) * 6)]))
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=child_env(),
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def _third_party_imports() -> set:
     names = set()
     for path in sorted(PACKAGE.glob("*.py")):

@@ -7,7 +7,6 @@ public point classifier, and cross-agreement between independently derived
 methods (three volume routes, two Euler routes, the compressed scan
 versus a test-side full-resolution scan)."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -31,6 +30,7 @@ from orthotopes.arrangement import (
     OrthantSet,
     SetOp,
     _axis_signs,
+    _cofactor,
     edge_direction,
     orthants_of,
 )
@@ -676,13 +676,17 @@ def test_skeleton_matches_the_line_walk(torus):
 def test_skeleton_checks_edge_directions(torus, monkeypatch):
     assert len(skeleton(torus).arcs) == 48
     scan = lattice._scan_for(torus)
-    forward = [
-        (point, mask, dataclasses.replace(prof, toward=(1, 1, 1)))
-        for point, mask, prof in scan.vertex_entries
-    ]
-    monkeypatch.setattr(scan, "vertex_entries", forward)
-    with pytest.raises(ConsistencyError, match="edges point apart"):
-        skeleton(torus)
+    profiles = scan.profiles
+    # the skeleton reads each site's profile afresh; tau signs are checked
+    # after the edge directions
+    for change, message in (
+        ({"toward": (1, 1, 1)}, "edges point apart"),
+        ({"tau_d": 1}, "tau signs fail to alternate"),
+    ):
+        patched = {m: p._replace(**change) for m, p in profiles.items()}
+        monkeypatch.setattr(scan, "profiles", patched)
+        with pytest.raises(ConsistencyError, match=message):
+            skeleton(torus)
 
 
 def test_skeleton_pairs_vertices_on_one_line_only():
@@ -697,9 +701,86 @@ def test_skeleton_pairs_vertices_on_one_line_only():
         P = from_cells(len(cells[0]), cells)
         scan = lattice._scan_for(P)
         assert len(skeleton(P).nodes) == len(scan.vertex_entries)
-        scan.vertex_entries = [e for e in scan.vertex_entries if e[0] not in missing]
+        at, codes, points = scan.vertex_sites
+        keep = [i for i, p in enumerate(points) if p not in missing]
+        scan.vertex_sites = at[keep], codes[keep], [points[i] for i in keep]
         with pytest.raises(ConsistencyError, match=message):
             skeleton(P)
+
+
+def _previous_skeleton(P):
+    """``skeleton`` as it was before it read the scan's vertex sites: it
+    turned the vertex points back into an array and sorted the arcs as
+    Python tuples."""
+    scan = lattice._require_generic(P)
+    d = P.dim
+    entries = scan.vertex_entries
+    points = [point for point, _mask, _prof in entries]
+    nodes = tuple((point, prof.tau_d) for point, _mask, prof in entries)
+    tau = np.array([t for _point, t in nodes], dtype=np.int64)
+    at = np.array(points, dtype=np.int64).reshape(-1, d)
+    toward = np.array([prof.toward for _p, _m, prof in entries], np.int64).reshape(-1, d)
+    arcs = []
+    for j in range(d):
+        others = [at[:, k] for k in reversed(range(d)) if k != j]
+        order = np.lexsort([at[:, j]] + others)
+        lo, hi = order[:-1:2], order[1::2]
+        for bad, what in (
+            (np.delete(at[lo] != at[hi], j, axis=1).any(axis=1), "line changes"),
+            ((toward[lo, j] != 1) | (toward[hi, j] != -1), "edges point apart"),
+            (tau[lo] != -tau[hi], "tau signs fail to alternate"),
+        ):
+            if bad.any():
+                a, b = points[lo[bad][0]], points[hi[bad][0]]
+                raise ConsistencyError(f"{what} along {a} .. {b}")
+        arcs.extend((points[a], points[b], j + 1) for a, b in zip(lo, hi))
+    graph = SkeletonGraph(nodes, tuple(sorted(arcs)))
+    for point, deg in graph.degrees().items():
+        if deg != P.dim:
+            raise ConsistencyError(f"vertex {point} has skeleton degree {deg}")
+    return graph
+
+
+def _sign_bits(d, mask):
+    """The (pos, neg, mixed) axis bitmasks from the two cofactors of each
+    axis, as the scan once found them for every mask."""
+    bits = [0, 0, 0]
+    for pos in range(d):
+        plus, minus = _cofactor(mask, d, pos, True), _cofactor(mask, d, pos, False)
+        if plus != minus:
+            bits[0 if not minus & ~plus else 1 if not plus & ~minus else 2] |= 1 << pos
+    return tuple(bits)
+
+
+def test_carried_signs_and_skeleton_match_the_old_code():
+    # the carried axis signs and _axis_signs against cofactors, and the skeleton
+    # against the one that re-read the vertex points, on cubes, generic
+    # unions, touching unions with witnesses and crossing stripes
+    rng = random.Random(1802)
+    models = [unit_cube(d) for d in range(1, 13)]
+    models += [
+        random_generic(d, n, 4 * n + 10, seed)
+        for d, n in ((1, 6), (2, 12), (3, 8), (4, 5), (5, 3), (6, 2))
+        for seed in (1, 2)
+    ]
+    touching = [_random_touching_union(rng, _POOLS[d], 3) for d in range(1, 8) for _ in range(3)]
+    assert sum(not check_generic(P) for P in touching) >= 5
+    models += touching + [_crossing_stripes(12)]
+    for P in models:
+        scan = lattice._scan_for(P)
+        expected = [_sign_bits(P.dim, m) for m in scan.vertex_masks]
+        assert scan.vertex_signs == expected, P.boxes
+        found = [_axis_signs(P.dim, m) for m in scan.vertex_masks]
+        assert [
+            tuple(sum(1 << (a - 1) for a, s in signs.items() if s == w) for w in (1, -1, 0))
+            for signs in found
+        ] == expected, P.boxes
+        if check_generic(P):
+            assert skeleton(P) == _previous_skeleton(P), P.boxes
+        else:
+            for run in (skeleton, _previous_skeleton):
+                with pytest.raises(NotGenericError):
+                    run(P)
 
 
 def test_skeleton_requires_generic(q_solid):
@@ -1459,7 +1540,9 @@ def _assert_class_profile_is_direct(d, mask):
     signs = _axis_signs(d, mask)
     if len(signs) < d:
         return None
-    derived = lattice._vertex_profile(d, mask, signs)
+    neg = sum(1 << (a - 1) for a, s in signs.items() if s < 0)
+    mixed = sum(1 << (a - 1) for a, s in signs.items() if s == 0)
+    derived = lattice._vertex_profile(d, mask, neg, mixed)
     direct = lattice._mask_profile(d, mask)
     assert derived == direct, (d, mask)
     if direct.is_vertex:
@@ -1524,8 +1607,6 @@ def test_scan_over_budget_raises_before_allocating(monkeypatch):
     boxes = [((0, 0, 0), (2, 2, 1)), ((1, 1, 1), (3, 3, 2))]
     P = from_boxes(3, boxes)
     monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", 100)
-    # equality and hashing build no scan, so no budget applies to them
-    assert P == from_boxes(3, boxes) and hash(P) == hash(from_boxes(3, boxes))
 
     def allocate(*_args):
         raise AssertionError("the occupancy was allocated over budget")
@@ -1539,6 +1620,28 @@ def test_scan_over_budget_raises_before_allocating(monkeypatch):
     assert info.value.estimate == lattice._scan_bytes((9, 9, 7)) > 100
     assert str(info.value.estimate) in str(info.value)
     assert P._scan is None
+
+
+def test_equality_and_hash_are_charged_before_they_allocate(monkeypatch):
+    P = random_generic(3, 40, 170, seed=1)
+    (lo, hi), *rest = P.boxes
+    cut = (lo[0] + hi[0]) // 2
+    halves = [(lo, (cut,) + hi[1:]), ((cut,) + lo[1:], hi)]
+    Q = from_boxes(3, halves + rest)  # the same point set in other boxes
+    assert Q.boxes != P.boxes and P == Q and hash(P) == hash(Q)
+    assert P != random_generic(3, 40, 170, seed=2)
+    slabs = math.prod(len(e) - 1 for e in lattice._slab_edges(P))
+    monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", 2 * slabs - 1)
+    tracemalloc.start()
+    try:
+        for compare in (hash, lambda X: X == Q):
+            with pytest.raises(lattice.ScanTooLargeError) as info:
+                compare(P)
+            assert info.value.estimate == 2 * slabs
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < slabs / 20
 
 
 def _crossing_stripes(count):
@@ -1631,6 +1734,13 @@ def test_runs_over_budget_are_refused_before_their_pass(monkeypatch):
     monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", need - 1)
     assert lattice._scan_bytes(shape) < need - 1  # the grid alone would pass
     charges.clear()
+    # the traced peak when each pass is charged, before it allocates
+    charge, peaks = lattice._run_bytes, []
+    monkeypatch.setattr(
+        lattice,
+        "_run_bytes",
+        lambda *args: peaks.append(tracemalloc.get_traced_memory()[1]) or charge(*args),
+    )
     tracemalloc.start()
     try:
         with pytest.raises(lattice.ScanTooLargeError) as info:
@@ -1640,7 +1750,7 @@ def test_runs_over_budget_are_refused_before_their_pass(monkeypatch):
         tracemalloc.stop()
     assert info.value.positions == math.prod(shape)
     assert info.value.estimate == need == charges[-1]
-    assert peak <= max(charges[:-1])  # the refused pass allocated nothing
+    assert peak == peaks[-1]  # the refused pass allocated nothing
     assert P._scan is None
 
     # the full grid is charged with the vertex runs the scan found

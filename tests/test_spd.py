@@ -1,6 +1,8 @@
 """Diagram calculus: parsing, normal form, valuations, edge operations."""
 
+import functools
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -19,7 +21,9 @@ from orthotopes.spd import (
     Series,
     SignedSpd,
     _iter_axes,
-    _sort_key,
+    _label,
+    _non_parallel,
+    _non_series,
     axes,
     bouquet,
     canonical_form,
@@ -65,6 +69,63 @@ def _two_terminal_graph(spd):
     g.add_node(snk)
     build(spd, src, snk)
     return g
+
+
+def _reference_form(spd):
+    """``canonical_form`` as it was before nodes carried structure keys:
+    children sorted by their rendered canonical keys, then axes renumbered
+    along a depth-first walk."""
+
+    def sort_shape(node):
+        if isinstance(node, Leaf):
+            return node
+        kids = sorted((sort_shape(c) for c in node.children), key=_reference_child_key)
+        return type(node)(tuple(kids))
+
+    counter = iter(range(1, len(list(_iter_axes(spd))) + 1))
+
+    def fresh(node):
+        if isinstance(node, Leaf):
+            return Leaf(next(counter))
+        return type(node)(tuple(fresh(c) for c in node.children))
+
+    return fresh(sort_shape(spd))
+
+
+@functools.lru_cache(maxsize=65536)
+def _reference_key(spd):
+    """``canonical_key`` as it was: the rendering of the canonical form."""
+    return format_expr(_reference_form(spd))
+
+
+def _reference_child_key(child):
+    # composite children compare by their parenthesised rendering, so they
+    # sort ahead of plain literals ('(' < '0' in ASCII)
+    key = _reference_key(child)
+    return key if isinstance(child, Leaf) else "(" + key + ")"
+
+
+def _sort_key(child):
+    """The child order of the normal form: rendered key, then least axis."""
+    return (_reference_child_key(child), min(_iter_axes(child)))
+
+
+def _raw_tree(rng, labels):
+    """A random tree on ``labels``, children in random order and never
+    normalized; no node has a child of its own kind."""
+
+    def build(axs, forbid):
+        if len(axs) == 1:
+            return Leaf(axs[0])
+        kinds = [k for k in (Series, Parallel) if k is not forbid]
+        kind = rng.choice(kinds)
+        cuts = sorted(rng.sample(range(1, len(axs)), rng.randint(1, len(axs) - 1)))
+        bounds = [0] + cuts + [len(axs)]
+        return kind(tuple(build(axs[a:b], kind) for a, b in zip(bounds, bounds[1:])))
+
+    labels = list(labels)
+    rng.shuffle(labels)
+    return build(labels, None)
 
 
 def _reference_normalize(spd):
@@ -393,6 +454,43 @@ def test_enumeration_has_no_duplicates_and_is_sorted():
         assert keys == sorted(keys)
         assert all(edge_count(s) == d for s in shapes)
         assert all(canonical_form(s) == s for s in shapes)
+
+
+def _assert_keys_match_the_rendering(tree):
+    """The key, form and normal form of ``tree`` from the structure keys
+    equal the ones rendered and sorted by the old code."""
+    assert canonical_key(tree) == _reference_key(tree)
+    assert canonical_key(tree) == format_expr(canonical_form(tree))
+    assert canonical_form(tree) == _reference_form(tree)
+    normal = normalize(tree)
+    assert normal == _reference_normalize(tree)
+    assert canonical_key(normal) == canonical_key(tree)
+
+
+def test_structure_keys_order_as_rendered_keys_on_every_shape_to_eight_axes():
+    rng = random.Random(1800)
+    for d in range(1, 9):
+        for shape in enumerate_shapes(d):
+            labels = rng.sample(range(1, 16), d)
+            tree = relabel(shape, dict(zip(range(1, d + 1), labels)))
+            assert tree == _reference_normalize(tree)
+            _assert_keys_match_the_rendering(tree)
+
+
+def test_structure_keys_order_as_rendered_keys_on_raw_trees():
+    # two-digit labels from d = 10 on, and unsorted raw children throughout
+    rng = random.Random(1801)
+    for d in list(range(1, 9)) * 25 + [10, 11, 12] * 40:
+        labels = rng.sample(range(1, 40), d) if rng.random() < 0.5 else range(1, d + 1)
+        _assert_keys_match_the_rendering(_raw_tree(rng, labels))
+
+
+def test_enumeration_is_the_old_one():
+    for d in range(1, 11):
+        raw = (("L",),) if d == 1 else _non_series(d) + _non_parallel(d)
+        shapes = [_reference_form(_label(s, iter(range(1, d + 1)))) for s in raw]
+        shapes.sort(key=_reference_key)
+        assert enumerate_shapes(d) == shapes
 
 
 def test_enumeration_bounds():
