@@ -5,151 +5,102 @@ half-spaces (spd, arrangement).  Global theory: integral orthogonal
 polytopes with exact volume, Euler characteristic, vertex census and face
 structure (lattice), plus perturbation of degenerate inputs and random
 generation (genericize).
+
+Importing the package runs none of these modules.  Each public name, and
+each submodule, is loaded on first access (PEP 562), so a user of the
+local layer never imports numpy, which only the global layer needs.
 """
 
-from .arrangement import (
-    DEGENERATE,
-    Cylinder,
-    FloralVertex,
-    OrthantSet,
-    SetOp,
-    combine,
-    edge_cross_section,
-    edge_direction,
-    facet,
-    orthant_counts,
-    orthants_of,
-    recognize,
-    residual_cross_section,
-)
-from .genericize import (
-    PadSchedule,
-    distance_to_faces,
-    face_box,
-    hausdorff_distance,
-    random_generic,
-    thicken,
-)
-from .lattice import (
-    ConsistencyError,
-    EulerMethod,
-    Face,
-    FacePoset,
-    Genericity,
-    IntegralOrthotope,
-    NotGenericError,
-    PointClass,
-    ScanTooLargeError,
-    SkeletonGraph,
-    TooManyCellsError,
-    VertexCensus,
-    VolumeMethod,
-    check_generic,
-    classify_point,
-    cross_section,
-    euler,
-    face_poset,
-    from_boxes,
-    from_cells,
-    set_ops,
-    sigma_sum,
-    skeleton,
-    vertex_census,
-    vertices,
-    volume,
-)
-from .spd import (
-    EMPTY,
-    FULL,
-    TRIVIAL,
-    EdgeKind,
-    Leaf,
-    Parallel,
-    ParseError,
-    Series,
-    SignedSpd,
-    bouquet,
-    canonical_form,
-    canonical_key,
-    delete_edge,
-    dual,
-    edge_count,
-    edge_kind,
-    enumerate_shapes,
-    format_expr,
-    mu,
-    parse_expr,
-    residual_diagram,
-    tau,
-    vertex_count,
-)
+import importlib
 
-__all__ = [
-    "DEGENERATE",
-    "EMPTY",
-    "FULL",
-    "TRIVIAL",
-    "ConsistencyError",
-    "Cylinder",
-    "EdgeKind",
-    "EulerMethod",
-    "Face",
-    "FacePoset",
-    "FloralVertex",
-    "Genericity",
-    "IntegralOrthotope",
-    "Leaf",
-    "NotGenericError",
-    "OrthantSet",
-    "PadSchedule",
-    "Parallel",
-    "ParseError",
-    "PointClass",
-    "ScanTooLargeError",
-    "Series",
-    "SetOp",
-    "SignedSpd",
-    "SkeletonGraph",
-    "TooManyCellsError",
-    "VertexCensus",
-    "VolumeMethod",
-    "bouquet",
-    "canonical_form",
-    "canonical_key",
-    "check_generic",
-    "classify_point",
-    "combine",
-    "cross_section",
-    "delete_edge",
-    "distance_to_faces",
-    "dual",
-    "edge_count",
-    "edge_cross_section",
-    "edge_direction",
-    "edge_kind",
-    "enumerate_shapes",
-    "euler",
-    "face_box",
-    "face_poset",
-    "facet",
-    "format_expr",
-    "from_boxes",
-    "from_cells",
-    "hausdorff_distance",
-    "mu",
-    "orthant_counts",
-    "orthants_of",
-    "parse_expr",
-    "random_generic",
-    "recognize",
-    "residual_cross_section",
-    "set_ops",
-    "sigma_sum",
-    "skeleton",
-    "tau",
-    "thicken",
-    "vertex_census",
-    "vertex_count",
-    "vertices",
-    "volume",
-]
+# Each public name and the submodule that defines it, in ``__all__`` order.
+_EXPORTS = {
+    "DEGENERATE": "arrangement",
+    "EMPTY": "spd",
+    "FULL": "spd",
+    "TRIVIAL": "spd",
+    "ConsistencyError": "lattice",
+    "Cylinder": "arrangement",
+    "EdgeKind": "spd",
+    "EulerMethod": "lattice",
+    "Face": "lattice",
+    "FacePoset": "lattice",
+    "FloralVertex": "arrangement",
+    "Genericity": "lattice",
+    "IntegralOrthotope": "lattice",
+    "Leaf": "spd",
+    "NotGenericError": "lattice",
+    "OrthantSet": "arrangement",
+    "PadSchedule": "genericize",
+    "Parallel": "spd",
+    "ParseError": "spd",
+    "PointClass": "lattice",
+    "ScanTooLargeError": "lattice",
+    "Series": "spd",
+    "SetOp": "arrangement",
+    "SignedSpd": "spd",
+    "SkeletonGraph": "lattice",
+    "TooManyCellsError": "lattice",
+    "VertexCensus": "lattice",
+    "VolumeMethod": "lattice",
+    "bouquet": "spd",
+    "canonical_form": "spd",
+    "canonical_key": "spd",
+    "check_generic": "lattice",
+    "classify_point": "lattice",
+    "combine": "arrangement",
+    "cross_section": "lattice",
+    "delete_edge": "spd",
+    "distance_to_faces": "genericize",
+    "dual": "spd",
+    "edge_count": "spd",
+    "edge_cross_section": "arrangement",
+    "edge_direction": "arrangement",
+    "edge_kind": "spd",
+    "enumerate_shapes": "spd",
+    "euler": "lattice",
+    "face_box": "genericize",
+    "face_poset": "lattice",
+    "facet": "arrangement",
+    "format_expr": "spd",
+    "from_boxes": "lattice",
+    "from_cells": "lattice",
+    "hausdorff_distance": "genericize",
+    "mu": "spd",
+    "orthant_counts": "arrangement",
+    "orthants_of": "arrangement",
+    "parse_expr": "spd",
+    "random_generic": "genericize",
+    "recognize": "arrangement",
+    "residual_cross_section": "arrangement",
+    "residual_diagram": "spd",
+    "set_ops": "lattice",
+    "sigma_sum": "lattice",
+    "skeleton": "lattice",
+    "tau": "spd",
+    "thicken": "genericize",
+    "vertex_census": "lattice",
+    "vertex_count": "spd",
+    "vertices": "lattice",
+    "volume": "lattice",
+}
+
+_SUBMODULES = frozenset({"arrangement", "cli", "genericize", "lattice", "spd"})
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # cached, so the next access is a plain attribute read
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

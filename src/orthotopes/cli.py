@@ -12,6 +12,11 @@ Exit codes: 0 success, 2 malformed input, 3 input not generic where a
 formula requires it, 4 internal consistency failure, 5 model too large to
 scan within the memory budget, or output of more unit cells than the cell
 limit.
+
+Importing this module loads only the standard library.  Each function
+imports the layer it uses when it runs, so ``--help``, ``facet``,
+``enum-spd`` and argument errors never load numpy, and the scan commands
+load ``lattice`` but not ``genericize``.
 """
 
 from __future__ import annotations
@@ -20,27 +25,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .arrangement import facet as facet_of
-from .genericize import distance_to_faces, random_generic, thicken
-from .lattice import (
-    ConsistencyError,
-    EulerMethod,
-    IntegralOrthotope,
-    NotGenericError,
-    ScanTooLargeError,
-    VolumeMethod,
-    check_generic,
-    cross_section,
-    euler,
-    from_boxes,
-    from_cells,
-    skeleton,
-    vertex_census,
-    vertices,
-    volume,
-)
-from .spd import ParseError, SignedSpd, enumerate_shapes, format_expr, parse_expr
+if TYPE_CHECKING:
+    from .lattice import IntegralOrthotope
 
 __all__ = [
     "ModelFormatError",
@@ -55,6 +43,11 @@ EXIT_MALFORMED = 2
 EXIT_NOT_GENERIC = 3
 EXIT_INCONSISTENT = 4
 EXIT_TOO_LARGE = 5
+
+# The values of ``lattice.VolumeMethod`` and ``lattice.EulerMethod``, so
+# that building the parser loads no scan; a test keeps them equal.
+_VOLUME_METHODS = ("musum", "determinantal", "voxelcount")
+_EULER_METHODS = ("sigmasum", "cubicalcomplex")
 
 # rendering constants: fixed so that golden SVG files stay stable
 _UNIT_PX = 32
@@ -102,6 +95,8 @@ def _read_json(path: str):
 
 def load_model(path: str) -> IntegralOrthotope:
     """Read a model file, reporting the offending field on schema errors."""
+    from .lattice import from_boxes, from_cells
+
     data = _read_json(path)
     _expect(isinstance(data, dict), path, "top level must be an object")
     dim = data.get("dim")
@@ -227,6 +222,8 @@ def _coord_json(value, scale: int):
 
 
 def _report(P: IntegralOrthotope) -> tuple[dict, int]:
+    from .lattice import check_generic, euler, skeleton, vertex_census, volume
+
     verdict = check_generic(P)
     if not verdict.generic:
         body = {
@@ -274,6 +271,8 @@ def render2d(P: IntegralOrthotope) -> str:
     """SVG picture of an orthogon: filled cells, boundary outline, and one
     mark per vertex, a disc for salient corners and a ring for reentrant
     ones.  Output is deterministic for a fixed model."""
+    from .lattice import NotGenericError, check_generic, vertices
+
     if P.dim != 2:
         raise ValueError(f"render2d needs dimension 2, got {P.dim}")
     verdict = check_generic(P)
@@ -349,6 +348,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .lattice import check_generic
+
     P = load_model(args.model)
     verdict = check_generic(P)
     body = {
@@ -362,6 +363,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from .lattice import vertex_census
+
     census = vertex_census(load_model(args.model))
     body = {
         "by_class": dict(census.by_class),
@@ -373,20 +376,27 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_volume(args) -> int:
+    from .lattice import VolumeMethod, volume
+
     method = VolumeMethod(args.method)
     _emit(str(volume(load_model(args.model), method)) + "\n", args.out)
     return 0
 
 
 def _cmd_euler(args) -> int:
+    from .lattice import EulerMethod, euler
+
     method = EulerMethod(args.method)
     _emit(str(euler(load_model(args.model), method)) + "\n", args.out)
     return 0
 
 
 def _cmd_facet(args) -> int:
+    from .arrangement import facet
+    from .spd import SignedSpd, format_expr, parse_expr
+
     try:
-        result = facet_of(parse_expr(args.expr), args.axis)
+        result = facet(parse_expr(args.expr), args.axis)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
     text = format_expr(result) if isinstance(result, SignedSpd) else repr(result)
@@ -395,6 +405,8 @@ def _cmd_facet(args) -> int:
 
 
 def _cmd_slice(args) -> int:
+    from .lattice import cross_section
+
     if len(args.axis) != len(args.value):
         raise ModelFormatError("need one --value per --axis")
     P = load_model(args.model)
@@ -416,12 +428,16 @@ def _cmd_slice(args) -> int:
 
 
 def _cmd_enum_spd(args) -> int:
+    from .spd import enumerate_shapes, format_expr
+
     shapes = enumerate_shapes(args.dim)
     _emit("".join(format_expr(s) + "\n" for s in shapes), args.out)
     return 0
 
 
 def _cmd_genericize(args) -> int:
+    from .genericize import distance_to_faces, thicken
+
     dim, faces = load_faces(args.faces)
     try:
         bound = Fraction(args.bound)
@@ -443,6 +459,8 @@ def _cmd_genericize(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    from .genericize import random_generic
+
     try:
         out = random_generic(args.dim, args.count, args.extent, args.seed)
     except ValueError as exc:
@@ -480,13 +498,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         default="musum",
-        choices=[m.value for m in VolumeMethod],
+        choices=_VOLUME_METHODS,
     )
     p = with_model("euler", _cmd_euler, "Euler characteristic")
     p.add_argument(
         "--method",
         default="sigmasum",
-        choices=[m.value for m in EulerMethod],
+        choices=_EULER_METHODS,
     )
     p = with_model("slice", _cmd_slice, "cross-section model at fixed axis values")
     p.add_argument("--axis", action="append", type=int, required=True)
@@ -526,22 +544,32 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# How ``main`` reports a library error: the submodule that defines it, its
+# name, the message prefix and the exit code, tried in this order.  Only a
+# loaded submodule can have raised its errors, so ``main`` finds each in
+# ``sys.modules`` and never imports a layer just to map an error.
+_FAILURES = (
+    ("spd", "ParseError", "error", EXIT_MALFORMED),
+    ("lattice", "NotGenericError", "not generic", EXIT_NOT_GENERIC),
+    ("lattice", "ConsistencyError", "internal consistency failure", EXIT_INCONSISTENT),
+    ("lattice", "ScanTooLargeError", "too large", EXIT_TOO_LARGE),
+)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ModelFormatError, ParseError) as exc:
+    except ModelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except NotGenericError as exc:
-        print(f"not generic: {exc}", file=sys.stderr)
-        return EXIT_NOT_GENERIC
-    except ConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except ScanTooLargeError as exc:
-        print(f"too large: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
+    except Exception as exc:
+        for module, name, prefix, code in _FAILURES:
+            loaded = sys.modules.get(f"{__package__}.{module}")
+            if loaded is not None and isinstance(exc, getattr(loaded, name)):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

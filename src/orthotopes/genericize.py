@@ -60,16 +60,16 @@ class PadSchedule:
     pads: tuple
 
     def validate(self, dim: int, faces: Sequence) -> None:
-        for j in range(dim):
-            coords = []
-            for (v, spec), sides in zip(faces, self.pads):
-                lo, hi = _face_range(v, spec, j)
-                coords.append(Fraction(lo) - sides[j][0])
-                coords.append(Fraction(hi) + sides[j][1])
-            if len(set(coords)) != len(coords):
-                raise ConsistencyError(
-                    f"pad schedule repeats a supporting coordinate on axis {j + 1}"
+        padded = []
+        for (v, spec), sides in zip(faces, self.pads):
+            lo, hi = face_box(v, spec)
+            padded.append(
+                (
+                    [Fraction(c) - pad for c, (pad, _) in zip(lo, sides)],
+                    [Fraction(c) + pad for c, (_, pad) in zip(hi, sides)],
                 )
+            )
+        _check_supports(dim, padded)
 
 
 def face_box(corner: Sequence[int], spec: Sequence) -> tuple:
@@ -92,25 +92,32 @@ def face_box(corner: Sequence[int], spec: Sequence) -> tuple:
     return tuple(lo), tuple(hi)
 
 
-def _face_range(corner, spec, j):
-    lo, hi = face_box(corner, spec)
-    return lo[j], hi[j]
+def _check_supports(dim: int, boxes: Sequence) -> None:
+    """Raise ``ConsistencyError`` unless the (lo, hi) corners of the
+    padded boxes put no two sides on one hyperplane of any axis."""
+    for j in range(dim):
+        coords = [c for lo, hi in boxes for c in (lo[j], hi[j])]
+        if len(set(coords)) != len(coords):
+            raise ConsistencyError(
+                f"pad schedule repeats a supporting coordinate on axis {j + 1}"
+            )
 
 
-def _pad_schedule(dim: int, faces: Sequence, bound: Fraction) -> PadSchedule:
+def _pad_ranks(dim: int, boxes: Sequence, bound: Fraction) -> tuple:
     """Assign pad ranks so that sides sharing an axis, a direction, and a
     base coordinate get distinct multiples of the grid unit.  Sides with
     different base coordinates stay separated because every pad is kept
-    strictly below 1/2."""
+    strictly below 1/2.  Returns the least power-of-two ``scale`` at which
+    every pad stays below ``bound / 2``, and per box and axis the (low,
+    high) pads in units of ``1/scale``."""
     ranks = []
     counters: dict = {}
     top = 1
-    for v, spec in faces:
+    for lo, hi in boxes:
         per_axis = []
         for j in range(dim):
-            lo, hi = _face_range(v, spec, j)
-            klo = counters[(j, -1, lo)] = counters.get((j, -1, lo), 0) + 1
-            khi = counters[(j, +1, hi)] = counters.get((j, +1, hi), 0) + 1
+            klo = counters[(j, -1, lo[j])] = counters.get((j, -1, lo[j]), 0) + 1
+            khi = counters[(j, +1, hi[j])] = counters.get((j, +1, hi[j]), 0) + 1
             top = max(top, klo, khi)
             per_axis.append((klo, khi))
         ranks.append(per_axis)
@@ -124,6 +131,12 @@ def _pad_schedule(dim: int, faces: Sequence, bound: Fraction) -> PadSchedule:
         raise ValueError(
             f"bound {bound} requires pads finer than 2**-{_MAX_SCALE_LOG}"
         )
+    return scale, ranks
+
+
+def _pad_schedule(dim: int, faces: Sequence, bound: Fraction) -> PadSchedule:
+    """The pads ``thicken`` gives the faces, as a schedule in true units."""
+    scale, ranks = _pad_ranks(dim, [face_box(v, spec) for v, spec in faces], bound)
     pads = tuple(
         tuple((Fraction(klo, scale), Fraction(khi, scale)) for klo, khi in per_axis)
         for per_axis in ranks
@@ -143,22 +156,21 @@ def thicken(dim: int, faces: Sequence, bound) -> IntegralOrthotope:
     faces = [(tuple(int(c) for c in v), tuple(spec)) for v, spec in faces]
     if not faces:
         raise ValueError("need at least one face")
+    boxes = []
     for v, spec in faces:
         if len(v) != dim or len(spec) != dim:
             raise ValueError(f"face ({v}, {spec}) has wrong arity for dimension {dim}")
-        face_box(v, spec)
-    schedule = _pad_schedule(dim, faces, bound)
-    schedule.validate(dim, faces)
-    n = schedule.scale
-    boxes = []
-    for (v, spec), sides in zip(faces, schedule.pads):
-        lo, hi = [], []
-        for j in range(dim):
-            a, b = _face_range(v, spec, j)
-            lo.append(a * n - int(sides[j][0] * n))
-            hi.append(b * n + int(sides[j][1] * n))
-        boxes.append((tuple(lo), tuple(hi)))
-    return from_boxes(dim, boxes, n)
+        boxes.append(face_box(v, spec))
+    n, ranks = _pad_ranks(dim, boxes, bound)
+    padded = [
+        (
+            tuple(a * n - klo for a, (klo, _) in zip(lo, sides)),
+            tuple(b * n + khi for b, (_, khi) in zip(hi, sides)),
+        )
+        for (lo, hi), sides in zip(boxes, ranks)
+    ]
+    _check_supports(dim, padded)
+    return from_boxes(dim, padded, n)
 
 
 class _Lcg:

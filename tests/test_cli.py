@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import child_env
-from orthotopes import cli, lattice
+from orthotopes import cli, genericize, lattice
 from orthotopes.arrangement import facet
 from orthotopes.cli import (
     EXIT_INCONSISTENT,
@@ -211,7 +211,8 @@ def test_scan_over_budget_exits_5(monkeypatch, capsys):
     def too_large(*_args):
         raise lattice.ScanTooLargeError(10**9, 10**10)
 
-    monkeypatch.setattr(cli, "random_generic", too_large)
+    # ``random`` looks ``random_generic`` up in ``genericize`` when it runs
+    monkeypatch.setattr(genericize, "random_generic", too_large)
     flags = ["--dim", "2", "--count", "3", "--extent", "9", "--seed", "1"]
     assert main(["random", *flags]) == EXIT_TOO_LARGE
     assert "10000000000 bytes" in capsys.readouterr().err
@@ -224,6 +225,37 @@ def test_too_many_cells_exits_5(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("too large: refusing to materialize about 9000000 cells")
+
+
+def test_consistency_failure_exits_4(monkeypatch, capsys):
+    def broken(_P):
+        raise lattice.ConsistencyError("skeleton arcs disagree")
+
+    monkeypatch.setattr(lattice, "skeleton", broken)
+    assert main(["analyze", str(FIXTURE)]) == EXIT_INCONSISTENT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal consistency failure: skeleton arcs disagree\n"
+
+
+def test_unmapped_errors_propagate_from_main(monkeypatch):
+    def broken(_P):
+        raise KeyError("not a library error")
+
+    monkeypatch.setattr(lattice, "vertex_census", broken)
+    with pytest.raises(KeyError, match="not a library error"):
+        main(["census", str(FIXTURE)])
+
+
+@pytest.mark.parametrize("command, enum", [("volume", lattice.VolumeMethod), ("euler", lattice.EulerMethod)])
+def test_method_choices_are_the_enum_values(command, enum, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(FIXTURE), "--method", "bogus"])
+    assert exit_info.value.code == EXIT_MALFORMED
+    listed = ", ".join(repr(m.value) for m in enum)
+    assert f"invalid choice: 'bogus' (choose from {listed})" in capsys.readouterr().err
+    for m in enum:
+        assert main([command, str(FIXTURE), "--method", m.value]) == 0
 
 
 def test_volume_and_euler_commands(tmp_path, capsys):

@@ -176,6 +176,89 @@ def test_thicken_random_face_sets_are_generic():
             assert distance_to_faces(out, faces) < bound
 
 
+def _reference_thicken(dim, faces, bound):
+    """Reference ``thicken``: each side's coordinate is read through a
+    whole ``face_box`` and every pad is a ``Fraction`` in true units."""
+    bound = Fraction(bound)
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    faces = [(tuple(int(c) for c in v), tuple(spec)) for v, spec in faces]
+    if not faces:
+        raise ValueError("need at least one face")
+    for v, spec in faces:
+        if len(v) != dim or len(spec) != dim:
+            raise ValueError(f"face ({v}, {spec}) has wrong arity for dimension {dim}")
+        face_box(v, spec)
+
+    def side_range(v, spec, j):
+        lo, hi = face_box(v, spec)
+        return lo[j], hi[j]
+
+    ranks, counters, top = [], {}, 1
+    for v, spec in faces:
+        per_axis = []
+        for j in range(dim):
+            lo, hi = side_range(v, spec, j)
+            klo = counters[(j, -1, lo)] = counters.get((j, -1, lo), 0) + 1
+            khi = counters[(j, +1, hi)] = counters.get((j, +1, hi), 0) + 1
+            top = max(top, klo, khi)
+            per_axis.append((klo, khi))
+        ranks.append(per_axis)
+    ceiling = min(bound / 2, Fraction(1, 2))
+    n = 1
+    for _ in range(33):
+        if Fraction(top, n) < ceiling:
+            break
+        n *= 2
+    else:
+        raise ValueError(f"bound {bound} requires pads finer than 2**-32")
+    pads = [[(Fraction(a, n), Fraction(b, n)) for a, b in per_axis] for per_axis in ranks]
+    for j in range(dim):
+        coords = []
+        for (v, spec), sides in zip(faces, pads):
+            lo, hi = side_range(v, spec, j)
+            coords += [Fraction(lo) - sides[j][0], Fraction(hi) + sides[j][1]]
+        assert len(set(coords)) == len(coords)
+    boxes = []
+    for (v, spec), sides in zip(faces, pads):
+        lo, hi = [], []
+        for j in range(dim):
+            a, b = side_range(v, spec, j)
+            lo.append(a * n - int(sides[j][0] * n))
+            hi.append(b * n + int(sides[j][1] * n))
+        boxes.append((tuple(lo), tuple(hi)))
+    return from_boxes(dim, boxes, n)
+
+
+def _thicken_outcome(fn, dim, faces, bound):
+    try:
+        out = fn(dim, faces, bound)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return out.scale, out.boxes
+
+
+def test_thicken_matches_the_fraction_reference():
+    rng = random.Random(20261019)
+    bounds = (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 1000), Fraction(1, 2**30))
+    refused = 0
+    for dim in (1, 2, 3, 4):
+        for count in (1, 2, 5, 12, 30):
+            for bound in bounds:
+                faces = _random_faces(rng, dim, count)
+                cases = (faces, faces + faces[: count // 2 + 1], [faces[0]] * 3)
+                for case in cases:
+                    expected = _thicken_outcome(_reference_thicken, dim, case, bound)
+                    assert _thicken_outcome(thicken, dim, case, bound) == expected
+                    refused += expected[0] == "ValueError"
+    # the 2^-30 bound runs past the 2^-32 pad floor once ranks reach 4
+    assert refused > 0
+    for finer in (Fraction(1, 2**32), Fraction(1, 2**33)):
+        for fn in (thicken, _reference_thicken):
+            with pytest.raises(ValueError, match=r"finer than 2\*\*-32"):
+                fn(2, [_full_cell((0, 0))], finer)
+
+
 # ---------------------------------------------------------------------------
 # random_generic
 
