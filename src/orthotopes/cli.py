@@ -430,7 +430,10 @@ def _cmd_slice(args) -> int:
 def _cmd_enum_spd(args) -> int:
     from .spd import enumerate_shapes, format_expr
 
-    shapes = enumerate_shapes(args.dim)
+    try:
+        shapes = enumerate_shapes(args.dim)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from exc
     _emit("".join(format_expr(s) + "\n" for s in shapes), args.out)
     return 0
 

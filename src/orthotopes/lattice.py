@@ -82,9 +82,10 @@ _COORDINATE_RANGE = (-(2**63) + 1, 2**63 - 2)
 _OCCUPANCY_CHUNK = 4096
 
 # A scan whose estimated peak passes this many bytes is refused with
-# ``ScanTooLargeError``: on the grid's shape (``_scan_bytes``) before
-# anything is allocated, and on its runs (``_run_bytes``) before each pass.
+# ``ScanTooLargeError``: on its slabs (``_first_bytes``) before anything is
+# allocated, and on its runs (``_run_bytes``) before each pass.
 _SCAN_BYTE_LIMIT = 4 << 30
+_MASK_BIT_LIMIT = 1 << 29  # see ``_Scan``; the d=14 cube's 2^28 took 2.7 s on 2 cores
 
 # An axis pass with more than this many possible (hi, lo) code pairs
 # deduplicates them with ``np.unique`` instead of a dense presence table.
@@ -106,18 +107,20 @@ class ConsistencyError(RuntimeError):
 
 
 class ScanTooLargeError(MemoryError):
-    """Raised before a classification scan, the region labelling of
-    ``face_poset`` or the occupancy that ``==`` and ``hash`` compare
-    allocates its grid when the estimated peak exceeds the scan's memory
-    budget.  ``positions`` is the size of the doubled grid and ``estimate``
-    the peak in bytes."""
+    """Raised before a classification scan (which ``==`` and ``hash``
+    build too), its full grid, the region labelling of ``face_poset`` or
+    the cubical Euler oracle allocates when the estimated peak exceeds the
+    scan's memory budget, or before a scan past its work bound in mask
+    bits (see ``_Scan``).  ``positions`` is the size of the doubled grid
+    and ``estimate`` the peak in bytes, or the mask bits."""
 
-    def __init__(self, positions: int, estimate: int):
+    def __init__(self, positions: int, estimate: int, unit: str = "bytes"):
         self.positions = positions
         self.estimate = estimate
+        limit = _SCAN_BYTE_LIMIT if unit == "bytes" else _MASK_BIT_LIMIT
         super().__init__(
-            f"scan of {positions} positions needs about {estimate} bytes, "
-            f"over the budget of {_SCAN_BYTE_LIMIT}"
+            f"scan of {positions} positions needs about {estimate} {unit}, "
+            f"over the budget of {limit}"
         )
 
 
@@ -249,10 +252,11 @@ class IntegralOrthotope:
     invariants are computable from the boxes.  The compressed
     classification scan is built on first use and cached, so every
     invariant of one instance shares a single scan.  Instances are
-    immutable; equality and hash compare dim, scale and the point set,
-    through its coarsest slab occupancy, so they neither materialize the
-    cells nor touch the cached scan.  Like a scan, they raise
-    ``ScanTooLargeError`` before that occupancy would pass the budget.
+    immutable; equality and hash compare dim, scale and the scan's
+    ``signed_vertices``, which determine the point set as the vertices of
+    orthogonal polyhedra do (Bournez, Maler and Pnueli, 1999), so they
+    build and cache the scan and raise ``ScanTooLargeError`` where it is
+    refused.
     """
 
     __slots__ = ("dim", "scale", "_boxes", "_cells", "_scan")
@@ -298,11 +302,11 @@ class IntegralOrthotope:
         return (
             self.dim == other.dim
             and self.scale == other.scale
-            and _canonical_occupancy(self) == _canonical_occupancy(other)
+            and _scan_for(self).signed_vertices == _scan_for(other).signed_vertices
         )
 
     def __hash__(self):
-        return hash((self.dim, self.scale, _canonical_occupancy(self)))
+        return hash((self.dim, self.scale, _scan_for(self).signed_vertices))
 
     def __repr__(self):
         body = f"boxes={len(self._boxes)}"
@@ -478,65 +482,48 @@ def _occupancy(P: IntegralOrthotope, edges) -> np.ndarray:
     """Which slabs between the ``edges`` the boxes of ``P`` occupy."""
     d = P.dim
     occ = np.zeros(tuple(len(e) - 1 for e in edges), dtype=bool)
-    corners = np.array(P.boxes, dtype=np.int64).reshape(-1, 2, d)
-    slabs = np.array([edges[j].searchsorted(corners[..., j]) for j in range(d)]).transpose(1, 2, 0)
-    for start in range(0, len(slabs), _OCCUPANCY_CHUNK):
-        for lo, hi in slabs[start : start + _OCCUPANCY_CHUNK].tolist():
+    for start in range(0, len(P.boxes), _OCCUPANCY_CHUNK):
+        corners = np.array(P.boxes[start : start + _OCCUPANCY_CHUNK], dtype=np.int64)
+        corners = corners.reshape(-1, 2, d)
+        slabs = np.array([edges[j].searchsorted(corners[..., j]) for j in range(d)])
+        for lo, hi in slabs.transpose(1, 2, 0).tolist():
             occ[tuple(map(slice, lo, hi))] = True
     return occ
 
 
-def _canonical_occupancy(P: IntegralOrthotope):
-    """The compressed occupancy with every slab equal to its neighbour
-    merged away, as (edges, occupancy bytes); ``None`` when empty.  What is
-    left has an edge only where the point set changes, so two orthotopes of
-    the same dim and scale have the same cells iff these agree.  Its two
-    grids, a byte per slab each, are charged before they are allocated."""
-    if P.is_empty:
-        return None
-    edges = _slab_edges(P)
-    slabs = tuple(len(e) - 1 for e in edges)
-    _check_budget(tuple(2 * n - 1 for n in slabs), 2 * math.prod(slabs))
-    occ = _occupancy(P, edges)
-    for j in range(P.dim):
-        others = tuple(k for k in range(P.dim) if k != j)
-        changed = np.diff(occ, axis=j).any(axis=others)
-        occ = occ.compress(np.concatenate(([True], changed)), axis=j)
-        edges[j] = edges[j][np.concatenate(([True], changed, [True]))]
-    return tuple(tuple(e.tolist()) for e in edges), occ.tobytes()
-
-
 def _scan_bytes(shape: tuple, runs: int = 0) -> int:
     """Estimated peak bytes of composing the full doubled grid of this
-    shape, with 2-byte codes, from ``runs`` vertex runs.  The peak is the
-    last axis pass (see ``_expand_axis``): it holds the previous pass's
-    codes, their slab codes gathered from the lookup and the new codes,
-    beside the 1-byte slab occupancy and the vertex runs: their codes at 2
-    bytes per vertex-grid position, which bounds them, and their starts at
-    8 bytes per run.  Before a scan its runs are unknown and none are
-    charged; the run scan itself is charged by ``_run_bytes``, pass by
-    pass, and ``face_poset`` charges the full grid with the runs found."""
+    shape, with 2-byte codes, from ``runs`` vertex runs, for ``face_poset``
+    alone.  The peak is the last axis pass (see ``_expand_axis``): it holds
+    the previous pass's codes, their slab codes gathered from the lookup
+    and the new codes, beside the vertex runs: their codes at 2 bytes per
+    vertex-grid position, which bounds them, and their starts at 8 bytes
+    per run."""
     positions = math.prod(shape)
     previous = positions // shape[-1] * ((shape[-1] - 1) // 2)
-    occupancy = math.prod((n + 1) // 2 for n in shape)
     vertex = math.prod((n - 1) // 2 for n in shape)
-    return occupancy + 2 * vertex + 8 * runs + 4 * previous + 2 * positions
+    return 2 * vertex + 8 * runs + 4 * previous + 2 * positions
 
 
-def _run_bytes(slabs: int, runs: int, masks: int) -> int:
+def _first_bytes(slabs: int, runs: int, boxes: int) -> int:
+    """Estimated peak bytes of the scan up to its run passes: a byte per
+    slab for each of the occupancy, the first pass's pair codes and its run
+    starts, 20 per run, and 1 KiB per box of a chunk that ``_occupancy``
+    converts (410 bytes were measured at d=2 and 770 at d=12)."""
+    return 3 * slabs + 20 * runs + 1024 * min(boxes, _OCCUPANCY_CHUNK) + (1 << 16)
+
+
+def _run_bytes(runs: int, masks: int) -> int:
     """Estimated peak bytes of one axis pass of the run scan over ``runs``
-    runs coded into ``masks`` masks, beside the 1-byte occupancy of
-    ``slabs`` slabs.  Per run it holds the run's start and code and, for up
-    to two pairs per run, their positions, sides and codes: at most 94
-    bytes per run were measured with ``_hash_cons``'s presence table, which
-    adds 5 bytes per possible pair, and 166 with ``np.unique``.  It grows
-    with the runs, not with the grid, so it passes ``_scan_bytes`` only
-    where runs are many: on a union of crossing stripes, about half the
-    slabs start one."""
+    runs coded into ``masks`` masks.  Per run it holds the run's start and
+    code and, for up to two pairs per run, their positions, sides and
+    codes: at most 110 bytes per run were measured with ``_hash_cons``'s
+    presence table, which adds 5 bytes per possible pair, and 170 with
+    ``np.unique``."""
     pairs = masks * masks
     if pairs > _PAIR_TABLE_LIMIT:
-        return slabs + 176 * runs
-    return slabs + 100 * runs + 5 * pairs
+        return 176 * runs
+    return 120 * runs + 5 * pairs
 
 
 def _check_budget(shape: tuple, estimate: int) -> None:
@@ -546,24 +533,22 @@ def _check_budget(shape: tuple, estimate: int) -> None:
         raise ScanTooLargeError(math.prod(shape), estimate)
 
 
-def _label_bytes(shape: tuple) -> int:
+def _label_bytes(shape: tuple, joins: int) -> int:
     """Upper bound on the peak bytes of ``_region_labels`` on a doubled grid
-    of this shape: per position a bool and four int64 arrays (flat index,
-    parents, two pointer-jumping copies); per join, at most one for each
-    axis-adjacent pair, a bool and eight int64 (both ends, their copies,
-    their parents and the min and max of those); 64 KiB of small arrays."""
-    positions = math.prod(shape)
-    joins = sum(positions // n * (n - 1) for n in shape)
-    return 33 * positions + 65 * joins + (1 << 16)
+    of this shape with ``joins`` joins: per position a bool and four int64
+    arrays (flat index, parents, two pointer-jumping copies); per join a
+    bool and eight int64 (both ends, their copies, their parents and the
+    min and max of those); 64 KiB of small arrays."""
+    return 33 * math.prod(shape) + 65 * joins + (1 << 16)
 
 
 def _cubical_bytes(sizes: tuple) -> int:
     """Peak bytes of the cubical Euler oracle on a closed-cell grid of
-    these sizes: a bool per cell, then, while the last axis is summed
-    away, the two int64 partial sums and their difference over the other
-    axes (every later axis sums a smaller grid), and 128 KiB for numpy's
-    casting buffers and small arrays."""
-    return math.prod(sizes) + 24 * math.prod(sizes[:-1]) + (1 << 17)
+    these sizes: a bool per cell and per slab, then the int64 partial sums
+    over the other axes as the last axis is summed away (every later axis
+    sums a smaller grid), and 128 KiB for numpy's buffers."""
+    slabs = math.prod((n - 1) // 2 for n in sizes)
+    return math.prod(sizes) + slabs + 24 * math.prod(sizes[:-1]) + (1 << 17)
 
 
 def _code_dtype(count: int):
@@ -624,16 +609,17 @@ def _pair_codes(pair: np.ndarray, table: list, j: int):
     return out, entries
 
 
-def _first_pass(occ: np.ndarray):
+def _first_pass(occ: np.ndarray, shape: tuple):
     """The pass on axis 0, dense on the slab occupancy, its codes those of
-    the empty and the full cell, read off as runs along the last axis and
-    numbered as ``_pair_rows`` numbers them (see ``_Scan``)."""
+    the empty and the full cell, read off as runs along the last axis,
+    charged once counted and numbered as ``_pair_rows`` numbers them."""
     flat = occ.view(np.int8)
     pair = flat[1:] * 2 + flat[:-1]
     rows = pair.reshape(-1, pair.shape[-1])
     start = np.empty(rows.shape, dtype=bool)
     start[:, 0] = True
     np.not_equal(rows[:, 1:], rows[:, :-1], out=start[:, 1:])
+    _check_budget(shape, _first_bytes(occ.size, np.count_nonzero(start), 0))
     keys = start.reshape(-1).nonzero()[0]
     out, table = _pair_codes(rows.reshape(-1)[keys], [(0, 0, 0, 0), (1, 0, 0, 0)], 0)
     return keys, out, table
@@ -746,7 +732,8 @@ class _Scan:
     as runs along the last axis: ``vertex_runs`` holds the C-order flat
     index of the first position of each maximal run, the first of every
     row included, and the run's code into ``vertex_masks``.  It pairs axis
-    0 densely on the slab occupancy, read once (see ``_first_pass``), then
+    0 densely on the slab occupancy, read once and then dropped, charged
+    with that pass (see ``_first_bytes``) before it is allocated, then
     one axis at a time, as Bentley's sweep for Klee's measure problem keeps
     its cross-sections: on an axis before the last, each row pairs with the
     row after it by merging their run starts (see ``_pair_rows``); on the
@@ -762,7 +749,10 @@ class _Scan:
     a degenerate cylinder forces a degenerate cone with every axis
     essential, so only those, read off the carried signs, are recognized:
     ``profiles`` maps each to its profile, one recognition per sign class
-    (see ``_vertex_profile``).  The codes of the
+    (see ``_vertex_profile``).  That work grows with the masks' bits, 2^dim
+    each, and a nonempty model has a corner mask per orthant, so a model
+    whose corners alone pass ``_MASK_BIT_LIMIT`` bits is refused unbuilt.
+    The codes of the
     whole grid, ``inverse`` into ``unique_masks``, are derived for
     ``face_poset`` alone, on first use, from the vertex grid's dense
     ``vertex_codes``: one pass per axis interleaves the edges with the slab
@@ -775,19 +765,22 @@ class _Scan:
         self.edges = _slab_edges(P)
         self.shape = tuple(2 * len(e) - 3 for e in self.edges)
         self.vertex_shape = tuple(len(e) - 2 for e in self.edges)
-        _check_budget(self.shape, _scan_bytes(self.shape))
-        self.occ = _occupancy(P, self.edges)
-        keys, codes, table = _first_pass(self.occ)
-        step = self.occ.size // len(self.occ)
-        size = self.occ.size - step
-        for j, n in enumerate(self.occ.shape[1:-1], 1):
-            _check_budget(self.shape, _run_bytes(self.occ.size, len(keys), len(table)))
+        slabs = tuple(len(e) - 1 for e in self.edges)
+        if P.boxes and 4**self.dim > _MASK_BIT_LIMIT:
+            raise ScanTooLargeError(math.prod(self.shape), 4**self.dim, "mask bits")
+        size = math.prod(slabs)
+        _check_budget(self.shape, _first_bytes(size, 0, len(P.boxes)))
+        keys, codes, table = _first_pass(_occupancy(P, self.edges), self.shape)
+        step = size // slabs[0]
+        size -= step
+        for j, n in enumerate(slabs[1:-1], 1):
+            _check_budget(self.shape, _run_bytes(len(keys), len(table)))
             step //= n
             keys, codes, table = _pair_rows(keys, codes, size, step, table, j)
             size -= step
         if self.dim > 1:
-            _check_budget(self.shape, _run_bytes(self.occ.size, len(keys), len(table)))
-            keys, codes, table = _pair_last(keys, codes, size, self.occ.shape, table)
+            _check_budget(self.shape, _run_bytes(len(keys), len(table)))
+            keys, codes, table = _pair_last(keys, codes, size, slabs, table)
         self.vertex_runs = keys, codes
         self.vertex_masks = [entry[0] for entry in table]
         self.vertex_signs = [entry[1:] for entry in table]
@@ -912,6 +905,12 @@ class _Scan:
         masks = [self.vertex_masks[c] for c in codes.tolist()]
         return [(p, m, self.profiles[m]) for p, m in zip(points, masks)]
 
+    @cached_property
+    def signed_vertices(self) -> tuple:
+        """(point, tau_d) of the ``vertex_entries`` with tau_d != 0: tau_d is
+        the indicator's d-th mixed difference, so they give the point set."""
+        return tuple((p, prof.tau_d) for p, _m, prof in self.vertex_entries if prof.tau_d)
+
 
 def _scan_for(P: IntegralOrthotope) -> _Scan:
     """The compressed scan of ``P``, built on first use and cached on it."""
@@ -1024,16 +1023,13 @@ def euler(P: IntegralOrthotope, method: EulerMethod = EulerMethod.SIGMA_SUM) -> 
                 f"vertex sign sum {total} is not divisible by 2^{d}"
             )
         return total // (1 << d)
-    scan = _scan_for(P)
-    occ = scan.occ
-    sizes = tuple(2 * s + 1 for s in occ.shape)
+    edges = _slab_edges(P)
+    sizes = tuple(2 * len(e) - 1 for e in edges)
     _check_budget(sizes, _cubical_bytes(sizes))
+    occ = _occupancy(P, edges)
     present = np.zeros(sizes, dtype=bool)
     for offset in itertools.product((0, 1, 2), repeat=d):
-        sel = tuple(
-            slice(offset[j], offset[j] + 2 * occ.shape[j], 2) for j in range(d)
-        )
-        present[sel] |= occ
+        present[tuple(slice(o, o + 2 * n, 2) for o, n in zip(offset, occ.shape))] |= occ
     acc = present  # summed one axis at a time, never copied whole to int64
     for _ in range(d):
         acc = acc[..., ::2].sum(-1, np.int64) - acc[..., 1::2].sum(-1, np.int64)
@@ -1088,18 +1084,22 @@ def _region_labels(scan: _Scan) -> np.ndarray:
     position; exterior positions get -1.  Roots hook under the smallest
     root they meet and pointer jumping flattens the trees, until no join
     crosses two trees (Shiloach and Vishkin, 1982).  A labelling whose
-    bound ``_label_bytes`` passes the scan budget is refused unbuilt."""
-    _check_budget(scan.shape, _label_bytes(scan.shape))
+    bound ``_label_bytes`` passes the scan budget is refused unbuilt: with
+    no joins before the full grid is derived, then with the joins counted,
+    one axis at a time, before their ends are listed."""
+    _check_budget(scan.shape, _label_bytes(scan.shape, 0))
     inverse = scan.inverse
     empty = scan.unique_masks.index(0)  # the padding puts exterior in every scan
+    sides = [
+        ((slice(None),) * j + (slice(None, -1),), (slice(None),) * j + (slice(1, None),))
+        for j in range(inverse.ndim)
+    ]
+    joins = [(inverse[lo] == inverse[hi]) & (inverse[lo] != empty) for lo, hi in sides]
+    _check_budget(scan.shape, _label_bytes(scan.shape, sum(map(np.count_nonzero, joins))))
     index = np.arange(inverse.size).reshape(inverse.shape)
-    heads, tails = [], []
-    for j in range(inverse.ndim):
-        lo = (slice(None),) * j + (slice(None, -1),)
-        hi = (slice(None),) * j + (slice(1, None),)
-        join = (inverse[lo] == inverse[hi]) & (inverse[lo] != empty)
-        heads.append(index[lo][join])
-        tails.append(index[hi][join])
+    heads = [index[lo][join] for (lo, _hi), join in zip(sides, joins)]
+    tails = [index[hi][join] for (_lo, hi), join in zip(sides, joins)]
+    del index, joins
     u, v = np.concatenate(heads), np.concatenate(tails)
     del heads, tails
     parent = np.arange(inverse.size)

@@ -1,6 +1,7 @@
 """Command-line plumbing: model files, reports, exit codes, rendering."""
 
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -196,7 +197,11 @@ def test_coordinates_the_scan_cannot_hold_exit_2(tmp_path, capsys):
         assert "has a coordinate outside" in capsys.readouterr().err
 
 
-def test_scan_over_budget_exits_5(monkeypatch, capsys):
+def test_scan_over_budget_exits_5(monkeypatch, tmp_path, capsys):
+    # the first charge is the torus's slab occupancy, before it is allocated
+    P = cli.load_model(str(FIXTURE))
+    slabs = math.prod(len(edges) - 1 for edges in lattice._slab_edges(P))
+    first = lattice._first_bytes(slabs, 0, len(P.boxes))
     monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", 1000)
     for argv in (
         ["analyze", str(FIXTURE)],
@@ -206,6 +211,12 @@ def test_scan_over_budget_exits_5(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("too large: scan of ")
+        assert f"needs about {first} bytes" in captured.err
+
+    # the d=15 cube's corner masks alone pass the mask-bit limit
+    path = _write(tmp_path, "cube15.json", {"dim": 15, "boxes": [[[0] * 15, [1] * 15]]})
+    assert main(["analyze", path]) == EXIT_TOO_LARGE
+    assert "needs about 1073741824 mask bits" in capsys.readouterr().err
 
     # commands that rewrap ValueError as malformed input let it through
     def too_large(*_args):
@@ -333,6 +344,14 @@ def test_enum_spd_command(capsys):
     assert "1&2&3&4" in lines and "1|2|3|4" in lines
     assert main(["enum-spd", "1"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def test_enum_spd_out_of_range_is_malformed_input(capsys):
+    for count in ("0", "13", "-1"):
+        assert main(["enum-spd", count]) == EXIT_MALFORMED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d must be between 1 and 12\n"
 
 
 def test_random_command_is_deterministic(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The library's runtime dependencies: what the package and the CLI load on
-start-up and per command, the lazily resolved package exports, and what
-``pyproject.toml`` declares against what the source imports."""
+start-up and per command, the lazily resolved package exports, what
+``pyproject.toml`` declares against what the source imports, and which
+code builds the dense slab occupancy."""
 
 import ast
 import re
@@ -54,6 +55,8 @@ def test_importing_loads_no_global_layer(statement):
         (["facet", "--expr", "1&&2", "--axis", "1"], 2),
         (["--help"], 0),
         (["volume", "--method", "bogus", "fixtures/torus.json"], 2),
+        (["enum-spd", "0"], 2),
+        (["enum-spd", "13"], 2),
     ],
 )
 def test_local_commands_and_argument_errors_load_no_numpy(argv, code):
@@ -196,6 +199,39 @@ def test_only_the_global_layer_imports_numpy_at_module_level():
     for name in _STDLIB_ONLY:
         third_party = {n for n in imports[name] if n not in sys.stdlib_module_names}
         assert not third_party, name
+
+
+def _callers(tree: ast.AST, name: str) -> set:
+    """Qualified names of the functions in ``tree`` that call ``name``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+                found.add(scope)
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_scan_and_the_cubical_oracle_build_an_occupancy():
+    # one dense slab occupancy per model: the scan's, dropped after its
+    # first pass, and the cubical Euler oracle's own; no scan keeps one
+    callers, kept = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= {f"{path.stem}.{scope}" for scope in _callers(tree, "_occupancy")}
+        kept += [
+            path.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "occ"
+        ]
+    assert callers == {"lattice._Scan.__init__", "lattice.euler"}
+    assert kept == []
 
 
 def _third_party_imports() -> set:
