@@ -108,8 +108,8 @@ class ConsistencyError(RuntimeError):
 
 class ScanTooLargeError(MemoryError):
     """Raised before a classification scan (which ``==`` and ``hash``
-    build too), its full grid, the region labelling of ``face_poset`` or
-    the cubical Euler oracle allocates when the estimated peak exceeds the
+    build too), a step of ``face_poset`` on the full grid's runs or the
+    cubical Euler oracle allocates when the estimated peak exceeds the
     scan's memory budget, or before a scan past its work bound in mask
     bits (see ``_Scan``).  ``positions`` is the size of the doubled grid
     and ``estimate`` the peak in bytes, or the mask bits."""
@@ -177,10 +177,11 @@ class VertexCensus:
 @dataclass(frozen=True)
 class Face:
     """Closure of one genericity region, held as disjoint (lo, hi) ``boxes``
-    in the free-axis coordinates only; ``fixed`` lists the (axis,
-    coordinate) pairs of the remaining axes.  ``cells`` expands the boxes on
-    first use.  Equality and hash compare the boxes as listed, so two
-    decompositions of one point set differ although their cells agree."""
+    in the free-axis coordinates only, one per maximal run of the region
+    along the scan's last axis; ``fixed`` lists the (axis, coordinate)
+    pairs of the remaining axes.  ``cells`` expands the boxes on first use.
+    Equality and hash compare the boxes as listed, so two decompositions
+    of one point set differ although their cells agree."""
 
     dim: int
     free_axes: tuple[int, ...]
@@ -491,26 +492,13 @@ def _occupancy(P: IntegralOrthotope, edges) -> np.ndarray:
     return occ
 
 
-def _scan_bytes(shape: tuple, runs: int = 0) -> int:
-    """Estimated peak bytes of composing the full doubled grid of this
-    shape, with 2-byte codes, from ``runs`` vertex runs, for ``face_poset``
-    alone.  The peak is the last axis pass (see ``_expand_axis``): it holds
-    the previous pass's codes, their slab codes gathered from the lookup
-    and the new codes, beside the vertex runs: their codes at 2 bytes per
-    vertex-grid position, which bounds them, and their starts at 8 bytes
-    per run."""
-    positions = math.prod(shape)
-    previous = positions // shape[-1] * ((shape[-1] - 1) // 2)
-    vertex = math.prod((n - 1) // 2 for n in shape)
-    return 2 * vertex + 8 * runs + 4 * previous + 2 * positions
-
-
 def _first_bytes(slabs: int, runs: int, boxes: int) -> int:
-    """Estimated peak bytes of the scan up to its run passes: a byte per
-    slab for each of the occupancy, the first pass's pair codes and its run
-    starts, 20 per run, and 1 KiB per box of a chunk that ``_occupancy``
-    converts (410 bytes were measured at d=2 and 770 at d=12)."""
-    return 3 * slabs + 20 * runs + 1024 * min(boxes, _OCCUPANCY_CHUNK) + (1 << 16)
+    """Estimated peak bytes of the scan up to its run passes: two bytes per
+    slab, the occupancy and then the first pass's pair codes, or those
+    codes and their run starts (see ``_first_pass``), 20 per run, and 1 KiB
+    per box of a chunk that ``_occupancy`` converts (410 bytes were
+    measured at d=2 and 770 at d=12)."""
+    return 2 * slabs + 20 * runs + 1024 * min(boxes, _OCCUPANCY_CHUNK) + (1 << 16)
 
 
 def _run_bytes(runs: int, masks: int) -> int:
@@ -533,15 +521,6 @@ def _check_budget(shape: tuple, estimate: int) -> None:
         raise ScanTooLargeError(math.prod(shape), estimate)
 
 
-def _label_bytes(shape: tuple, joins: int) -> int:
-    """Upper bound on the peak bytes of ``_region_labels`` on a doubled grid
-    of this shape with ``joins`` joins: per position a bool and four int64
-    arrays (flat index, parents, two pointer-jumping copies); per join a
-    bool and eight int64 (both ends, their copies, their parents and the
-    min and max of those); 64 KiB of small arrays."""
-    return 33 * math.prod(shape) + 65 * joins + (1 << 16)
-
-
 def _cubical_bytes(sizes: tuple) -> int:
     """Peak bytes of the cubical Euler oracle on a closed-cell grid of
     these sizes: a bool per cell and per slab, then the int64 partial sums
@@ -549,6 +528,14 @@ def _cubical_bytes(sizes: tuple) -> int:
     sums a smaller grid), and 128 KiB for numpy's buffers."""
     slabs = math.prod((n - 1) // 2 for n in sizes)
     return math.prod(sizes) + slabs + 24 * math.prod(sizes[:-1]) + (1 << 17)
+
+
+def _face_bytes(runs: int) -> int:
+    """Estimated peak bytes of a step of ``face_poset`` on ``runs`` runs of
+    the full grid: an axis of ``_full_runs`` holds 29 bytes per run it
+    makes, at most three per run read, and ``_run_regions`` held 71 to 93
+    per run labelled at d = 2..7; 64 KiB of small arrays."""
+    return 120 * runs + (1 << 16)
 
 
 def _code_dtype(count: int):
@@ -563,8 +550,8 @@ def _hash_cons(pair: np.ndarray, size: int):
     them, so no sort is needed; past ``_PAIR_TABLE_LIMIT`` values
     ``np.unique`` finds them instead."""
     if size > _PAIR_TABLE_LIMIT:
-        used, inverse = np.unique(pair.reshape(-1), return_inverse=True)
-        return used, inverse.astype(_code_dtype(len(used))).reshape(pair.shape)
+        used, rank = np.unique(pair.reshape(-1), return_inverse=True)
+        return used, rank.astype(_code_dtype(len(used))).reshape(pair.shape)
     present = np.zeros(size, dtype=bool)
     present[pair] = True
     used = present.nonzero()[0]
@@ -609,32 +596,35 @@ def _pair_codes(pair: np.ndarray, table: list, j: int):
     return out, entries
 
 
-def _first_pass(occ: np.ndarray, shape: tuple):
-    """The pass on axis 0, dense on the slab occupancy, its codes those of
-    the empty and the full cell, read off as runs along the last axis,
-    charged once counted and numbered as ``_pair_rows`` numbers them."""
-    flat = occ.view(np.int8)
-    pair = flat[1:] * 2 + flat[:-1]
+def _first_pass(P: IntegralOrthotope, edges, shape: tuple):
+    """The pass on axis 0, dense on the slab occupancy of ``P``, its codes
+    those of the empty and the full cell, read off as runs along the last
+    axis, charged once counted and numbered as ``_pair_rows`` numbers them.
+    The occupancy is dropped once the pair codes are formed in place, so
+    the pass holds two bytes per slab at a time (see ``_first_bytes``)."""
+    occ = _occupancy(P, edges).view(np.int8)
+    pair = occ[1:] * 2
+    pair += occ[:-1]
+    del occ
     rows = pair.reshape(-1, pair.shape[-1])
     start = np.empty(rows.shape, dtype=bool)
     start[:, 0] = True
     np.not_equal(rows[:, 1:], rows[:, :-1], out=start[:, 1:])
-    _check_budget(shape, _first_bytes(occ.size, np.count_nonzero(start), 0))
+    slabs = math.prod(len(e) - 1 for e in edges)
+    _check_budget(shape, _first_bytes(slabs, np.count_nonzero(start), 0))
     keys = start.reshape(-1).nonzero()[0]
     out, table = _pair_codes(rows.reshape(-1)[keys], [(0, 0, 0, 0), (1, 0, 0, 0)], 0)
     return keys, out, table
 
 
-def _pair_rows(keys: np.ndarray, codes: np.ndarray, size: int, step: int, table, j):
-    """One axis pass of the vertex scan on an axis j before the last, on
-    runs (see ``_Scan``) over ``size`` flat positions.  Rows keep their
-    numbering: position f, between lo slab f and hi slab f + ``step``,
-    becomes the edge after the lo slab, for f < size - step.  A row whose
-    index is the last slab of a paired axis, or of axis j, pairs padding
-    with padding, code 0 with code 0, as the first slab of every row does
-    (see ``_pair_last``).  An edge row changes only where one of its two
-    slab rows does, so its runs start at the merged starts of the two and
-    stay maximal."""
+def _row_pairs(keys: np.ndarray, size: int, step: int):
+    """The runs that meet when each row of runs over ``size`` flat
+    positions, ``keys`` their starts with the first of every row, is laid
+    over the row ``step`` positions after it; rows from ``size - step`` on
+    have none.  One entry per stretch over which neither row's run
+    changes: its first position in the lower row and the indices of the
+    lower and the upper run.  A stretch starts where either row starts a
+    run, so there are at most as many as the two rows have runs."""
     lo = np.searchsorted(keys, size - step)
     hi = np.searchsorted(keys, step)
     both = np.concatenate((keys[:lo], keys[hi:] - step))
@@ -649,13 +639,32 @@ def _pair_rows(keys: np.ndarray, codes: np.ndarray, size: int, step: int, table,
     # together, and the side the start came from gives its own index.
     came = order[at]
     del order, last
-    lo_run = np.where(came < lo, came, at + (lo - 1) - came)
+    lower = np.where(came < lo, came, at + (lo - 1) - came)
     del came
-    pair = codes[hi - 1 + at - lo_run].astype(np.intp)
+    merged = merged[at]
+    at += hi - 1
+    at -= lower
+    return merged, lower, at
+
+
+def _pair_rows(keys: np.ndarray, codes: np.ndarray, size: int, step: int, table, j):
+    """One axis pass of the vertex scan on an axis j before the last, on
+    runs (see ``_Scan``) over ``size`` flat positions.  Rows keep their
+    numbering: position f, between lo slab f and hi slab f + ``step``,
+    becomes the edge after the lo slab, for f < size - step.  A row whose
+    index is the last slab of a paired axis, or of axis j, pairs padding
+    with padding, code 0 with code 0, as the first slab of every row does
+    (see ``_pair_last``).  An edge row changes only where one of its two
+    slab rows does, so its runs are the stretches of ``_row_pairs`` and
+    stay maximal."""
+    merged, lower, upper = _row_pairs(keys, size, step)
+    pair = codes[upper].astype(np.intp)
+    del upper
     pair *= len(table)
-    pair += codes[lo_run]
+    pair += codes[lower]
+    del lower
     out, table = _pair_codes(pair, table, j)
-    return merged[at], out, table
+    return merged, out, table
 
 
 def _pair_last(keys: np.ndarray, codes: np.ndarray, size: int, shape: tuple, table):
@@ -692,29 +701,6 @@ def _pair_last(keys: np.ndarray, codes: np.ndarray, size: int, shape: tuple, tab
     return at[used], out, table
 
 
-def _expand_axis(codes: np.ndarray, table: list, dim: int, j: int):
-    """One axis pass from the vertex grid to the full doubled grid: the
-    edges of axis j, coded into ``table``, are interleaved with the slab
-    interiors beside them.  Slab k's cone is the cylinder over the lo side
-    of the cone on edge k, the edge between slabs k and k+1, and the last
-    slab, the padding, is empty, so the slab codes are read off one lookup
-    entry per code.  Masks first met
-    there get codes K, K+1, ..., so every mask is held once and every code
-    is used."""
-    code = {m: c for c, m in enumerate(table)}
-    lo = [code.setdefault(_cofactor(m, dim, j, False), len(code)) for m in table]
-    exterior = code.setdefault(0, len(code))
-    dtype = _code_dtype(len(code))
-    head = (slice(None),) * j
-    shape = list(codes.shape)
-    shape[j] = 2 * shape[j] + 1
-    out = np.empty(shape, dtype=dtype)
-    out[head + (slice(1, None, 2),)] = codes
-    out[head + (slice(0, -1, 2),)] = np.array(lo, dtype=dtype)[codes]
-    out[head + (-1,)] = exterior
-    return out, list(code)
-
-
 class _Scan:
     """Tangent-cone classification over the doubled grid of a compressed
     cell decomposition.
@@ -732,8 +718,9 @@ class _Scan:
     as runs along the last axis: ``vertex_runs`` holds the C-order flat
     index of the first position of each maximal run, the first of every
     row included, and the run's code into ``vertex_masks``.  It pairs axis
-    0 densely on the slab occupancy, read once and then dropped, charged
-    with that pass (see ``_first_bytes``) before it is allocated, then
+    0 densely on the slab occupancy, read once and dropped as its pair
+    codes are formed, charged with that pass (see ``_first_bytes``) before
+    it is allocated, then
     one axis at a time, as Bentley's sweep for Klee's measure problem keeps
     its cross-sections: on an axis before the last, each row pairs with the
     row after it by merging their run starts (see ``_pair_rows``); on the
@@ -752,12 +739,10 @@ class _Scan:
     (see ``_vertex_profile``).  That work grows with the masks' bits, 2^dim
     each, and a nonempty model has a corner mask per orthant, so a model
     whose corners alone pass ``_MASK_BIT_LIMIT`` bits is refused unbuilt.
-    The codes of the
-    whole grid, ``inverse`` into ``unique_masks``, are derived for
-    ``face_poset`` alone, on first use, from the vertex grid's dense
-    ``vertex_codes``: one pass per axis interleaves the edges with the slab
-    interiors, each coded as the cylinder over one side of the edge after
-    it (see ``_expand_axis``)."""
+    The whole grid is never held densely: ``face_poset`` alone derives its
+    runs along the last axis from the vertex runs, one axis at a time,
+    each slab interior coded as the cylinder over one side of the edge
+    after it (see ``_full_runs``)."""
 
     def __init__(self, P: IntegralOrthotope):
         self.dim = P.dim
@@ -770,7 +755,7 @@ class _Scan:
             raise ScanTooLargeError(math.prod(self.shape), 4**self.dim, "mask bits")
         size = math.prod(slabs)
         _check_budget(self.shape, _first_bytes(size, 0, len(P.boxes)))
-        keys, codes, table = _first_pass(_occupancy(P, self.edges), self.shape)
+        keys, codes, table = _first_pass(P, self.edges, self.shape)
         step = size // slabs[0]
         size -= step
         for j, n in enumerate(slabs[1:-1], 1):
@@ -790,32 +775,6 @@ class _Scan:
             for m, pos, neg, mixed in table
             if pos | neg | mixed == full
         }
-
-    @property
-    def vertex_codes(self) -> np.ndarray:
-        """The vertex grid's codes, expanded from ``vertex_runs`` on each
-        access; the full grid is derived from them, and is all that reads
-        them, so they are not kept."""
-        keys, codes = self.vertex_runs
-        lengths = _run_ends(keys, math.prod(self.vertex_shape))
-        lengths -= keys
-        return np.repeat(codes, lengths).reshape(self.vertex_shape)
-
-    @cached_property
-    def _full(self) -> tuple:
-        _check_budget(self.shape, _scan_bytes(self.shape, len(self.vertex_runs[0])))
-        codes, table = self.vertex_codes, self.vertex_masks
-        for j in range(self.dim):
-            codes, table = _expand_axis(codes, table, self.dim, j)
-        return codes, table
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return self._full[0]
-
-    @property
-    def unique_masks(self) -> list:
-        return self._full[1]
 
     # position helpers ------------------------------------------------
 
@@ -1078,31 +1037,75 @@ def skeleton(P: IntegralOrthotope) -> SkeletonGraph:
     return SkeletonGraph(nodes, tuple((points[a], points[b], j) for a, b, j in arcs))
 
 
-def _region_labels(scan: _Scan) -> np.ndarray:
-    """Connected components of axis-adjacent positions that share one
-    nonempty mask, each labelled by the C-order flat index of its first
-    position; exterior positions get -1.  Roots hook under the smallest
-    root they meet and pointer jumping flattens the trees, until no join
-    crosses two trees (Shiloach and Vishkin, 1982).  A labelling whose
-    bound ``_label_bytes`` passes the scan budget is refused unbuilt: with
-    no joins before the full grid is derived, then with the joins counted,
-    one axis at a time, before their ends are listed."""
-    _check_budget(scan.shape, _label_bytes(scan.shape, 0))
-    inverse = scan.inverse
-    empty = scan.unique_masks.index(0)  # the padding puts exterior in every scan
-    sides = [
-        ((slice(None),) * j + (slice(None, -1),), (slice(None),) * j + (slice(1, None),))
-        for j in range(inverse.ndim)
-    ]
-    joins = [(inverse[lo] == inverse[hi]) & (inverse[lo] != empty) for lo, hi in sides]
-    _check_budget(scan.shape, _label_bytes(scan.shape, sum(map(np.count_nonzero, joins))))
-    index = np.arange(inverse.size).reshape(inverse.shape)
-    heads = [index[lo][join] for (lo, _hi), join in zip(sides, joins)]
-    tails = [index[hi][join] for (_lo, hi), join in zip(sides, joins)]
-    del index, joins
-    u, v = np.concatenate(heads), np.concatenate(tails)
-    del heads, tails
-    parent = np.arange(inverse.size)
+def _full_runs(scan: _Scan):
+    """The maximal runs of the full doubled grid along its last axis, as
+    (starts, codes, masks) in the form of ``vertex_runs``, derived from
+    them one axis at a time.  Axis j turns vertex index k into the edge
+    2k + 1, with its runs, and the slab 2k before it, whose cone is the
+    cylinder over the lo side of the edge's (see ``_Scan``): the runs are
+    copied there with the codes of those cofactors.  The last slab, the
+    padding, is one exterior run per row.  A run longer than one vertex on
+    the last axis has a cone that does not depend on it, so its two copies
+    agree and cover its stretch.  A copy that continues its row with the
+    code before it joins that run.  Masks first met get codes K, K+1, ...,
+    and each axis is charged on the runs it reads before it allocates."""
+    d = scan.dim
+    keys, codes = scan.vertex_runs
+    code = {m: c for c, m in enumerate(scan.vertex_masks)}
+    shape = list(scan.vertex_shape)
+    for j in range(d):
+        _check_budget(scan.shape, _face_bytes(len(keys)))
+        lo = [code.setdefault(_cofactor(m, d, j, False), len(code)) for m in list(code)]
+        exterior = code.setdefault(0, len(code))
+        dtype = _code_dtype(len(code))
+        n, stride, outer = shape[j], math.prod(shape[j + 1 :]), math.prod(shape[:j])
+        block, rest = np.divmod(keys, stride)
+        edge = (2 * block + block // n + 1) * stride + rest
+        pad = (np.arange(1, outer + 1) * (2 * n + 1) - 1) * stride
+        pad = (pad[:, None] + np.arange(0, stride, shape[-1] if j < d - 1 else 1)).reshape(-1)
+        keys = np.concatenate((edge - stride, edge, pad))
+        codes = np.concatenate(
+            (np.array(lo, dtype=dtype)[codes], codes, np.full(len(pad), exterior, dtype=dtype))
+        )
+        del block, rest, edge, pad
+        order = np.argsort(keys, kind="stable")  # a linear merge of three sorted parts
+        keys, codes = keys[order], codes[order]
+        del order
+        shape[j] = 2 * n + 1
+        new = keys % shape[-1] == 0
+        new[1:] |= codes[1:] != codes[:-1]
+        keys, codes = keys[new], codes[new]
+    return keys, codes, list(code)
+
+
+def _run_regions(keys: np.ndarray, codes: np.ndarray, shape: tuple, exterior: int):
+    """Each run's region and the closure steps between the full grid's
+    runs (see ``_full_runs``).  Runs of one code that meet in rows adjacent
+    along an axis are joined, as in run-based labelling (He, Chao and
+    Suzuki, IEEE Trans. Image Processing, 2008); runs of one row are
+    maximal, so never equal.  Roots hook under the smallest root they meet
+    and pointer jumping flattens the trees, until no join crosses two
+    trees (Shiloach and Vishkin, 1982), so each region's root is its first
+    run.  Runs of different codes that meet across one axis form a step:
+    the run on the odd side of that axis lies in the closure of the one on
+    the even side, a slab interior.  Returns every run's root and the
+    (odd, even) runs of every step."""
+    width, size = shape[-1], math.prod(shape)
+    # along the last axis every run but the first of its row meets the run
+    # before it, and is on the odd side when it starts at an odd position
+    after = np.flatnonzero(keys[1:] % width) + 1
+    meets = [(after, after - 1, keys[after] % width % 2 == 1)]
+    joins = [np.empty((2, 0), dtype=np.intp)]
+    for j in range(len(shape) - 1):
+        step = math.prod(shape[j + 1 :])
+        merged, lower, upper = _row_pairs(keys, size, step)
+        same = codes[lower] == codes[upper]
+        joins.append(np.stack((lower, upper))[:, same & (codes[lower] != exterior)])
+        meets.append((lower[~same], upper[~same], merged[~same] // step % shape[j] % 2 == 1))
+        del merged, lower, upper, same
+    u, v = np.concatenate(joins, axis=1)
+    del joins
+    parent = np.arange(len(keys))
     while u.size:
         pu, pv = parent[u], parent[v]
         np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
@@ -1111,52 +1114,77 @@ def _region_labels(scan: _Scan) -> np.ndarray:
             parent, jumped = jumped, jumped[jumped]
         apart = parent[u] != parent[v]
         u, v = u[apart], v[apart]
-    return np.where(inverse.reshape(-1) == empty, -1, parent).reshape(inverse.shape)
+    odd = np.concatenate([np.where(flag, a, b) for a, b, flag in meets])
+    even = np.concatenate([np.where(flag, b, a) for a, b, flag in meets])
+    return parent, odd, even
 
 
 def face_poset(P: IntegralOrthotope) -> FacePoset:
     """Genericity regions of the doubled grid, grouped into faces by
     taking closures, with containment among closures, on the model's one
-    compressed scan.  The local structure is constant along a region, so a
-    slab interior stands for its whole run and a region lies in the closure
-    of another as soon as one of its positions does.  Each face holds one
-    box per slab-interior row of its region, so the output grows with the
-    scan, not with the volume; ``Face.cells`` lists unit cells lazily."""
+    compressed scan.  The local structure is constant along a region, so
+    the grid is held as runs along its last axis (``_full_runs``), the
+    regions and the steps between them are read off runs that meet
+    (``_run_regions``), and containment is the transitive closure of those
+    steps.  Each face holds one box per run of its region in a row that is
+    a slab interior on each of its free axes, so the output grows with the
+    region's boundary, not with its slabs; ``Face.cells`` lists unit cells
+    lazily."""
     scan = _require_generic(P)
     if P.is_empty:  # no region: the per-region arrays below lose an axis
         return FacePoset((), frozenset())
-    d = P.dim
-    labels = _region_labels(scan)
-    inside = np.flatnonzero(labels.reshape(-1) >= 0)
-    roots, owner = np.unique(labels.reshape(-1)[inside], return_inverse=True)
-    pos = np.stack(np.unravel_index(inside, labels.shape), axis=-1)
-    heads = np.stack(np.unravel_index(roots, labels.shape), axis=-1)
-    masks = [scan.unique_masks[c] for c in scan.inverse.reshape(-1)[roots].tolist()]
+    d, shape = P.dim, scan.shape
+    keys, codes, masks = _full_runs(scan)
+    _check_budget(shape, _face_bytes(len(keys)))
+    exterior = masks.index(0)  # the padding puts exterior in every scan
+    parent, odd, even = _run_regions(keys, codes, shape, exterior)
+    roots = np.flatnonzero((parent == np.arange(len(keys))) & (codes != exterior))
+    heads = np.stack(np.unravel_index(keys[roots], shape), axis=-1).tolist()
+    masks = [masks[c] for c in codes[roots].tolist()]
     profs = [_mask_profile(d, m) for m in masks]
+    # Faces in order of dim, then representative point, which orders as its
+    # grid index does: a coordinate grows strictly with its index.
+    order = sorted(range(len(roots)), key=lambda r: (d - len(profs[r].essential), heads[r]))
+    face = np.full(len(keys), -1)
+    face[roots[order]] = np.arange(len(roots))
+    face = face[parent]
+    a, b = face[odd], face[even]
+    hit = (a >= 0) & (b >= 0)
+    steps = sorted(set(zip(b[hit].tolist(), a[hit].tolist())))
+    del parent, odd, even, a, b, hit
+    # A step raises the face dimension, so in face order the faces below
+    # each face are closed before it: its closure holds theirs.
+    below = [set() for _ in order]
+    for b, a in steps:
+        below[b] |= below[a] | {a}
+    run = np.flatnonzero(face >= 0)
+    owner = face[run]
+    start = np.stack(np.unravel_index(keys[run], shape), axis=-1)
+    width = (_run_ends(keys, math.prod(shape)) - keys)[run]
     fixed_axes = np.array(
         [[a in p.essential for a in range(1, d + 1)] for p in profs], dtype=bool
-    )[owner]
-    even = pos % 2 == 0
-    if (fixed_axes & (even | (pos != heads[owner]))).any():
+    )[order][owner]
+    # a region stays at its head, one position wide, on each fixed axis
+    moved = (start % 2 == 0) | (start != np.array(heads)[order][owner])
+    moved[:, -1] |= width != 1
+    if (fixed_axes & moved).any():
         raise ConsistencyError("essential axis varies inside a region")
-    # A position even on every free axis stands for the box of its slabs
-    # there, written on those axes; each region's boxes are its rows'.
-    rows = np.flatnonzero((even | fixed_axes).all(axis=1))
+    # A run in a row that is a slab interior on every free axis before the
+    # last stands for the box of its slabs there, written on those axes.
+    rows = np.flatnonzero(((start[:, :-1] % 2 == 0) | fixed_axes[:, :-1]).all(axis=1))
     rows = rows[np.argsort(owner[rows], kind="stable")]
-    slab = pos[rows] // 2
+    slab = start[rows] // 2
+    past = slab + 1
+    past[:, -1] = (start[rows, -1] + width[rows] + 1) // 2
     lo = np.stack([scan.edges[j][slab[:, j]] for j in range(d)], axis=-1).tolist()
-    hi = np.stack([scan.edges[j][slab[:, j] + 1] for j in range(d)], axis=-1).tolist()
+    hi = np.stack([scan.edges[j][past[:, j]] for j in range(d)], axis=-1).tolist()
     keep = (~fixed_axes[rows]).tolist()
     boxes = list(zip(*(map(tuple, map(itertools.compress, c, keep)) for c in (lo, hi))))
     bounds = np.searchsorted(owner[rows], np.arange(len(roots) + 1))
     if (np.diff(bounds) == 0).any():
         raise ConsistencyError("genericity region with no interior cell")
-    # Faces in order of dim, then representative point, which orders as its
-    # grid index does: a coordinate grows strictly with its index.
-    heads = heads.tolist()
-    order = sorted(range(len(roots)), key=lambda r: (d - len(profs[r].essential), heads[r]))
     faces = []
-    for r in order:
+    for f, r in enumerate(order):
         head, prof = heads[r], profs[r]
         free = tuple(a for a in range(1, d + 1) if a not in prof.essential)
         fixed = tuple(
@@ -1165,32 +1193,9 @@ def face_poset(P: IntegralOrthotope) -> FacePoset:
         rep = PointClass(
             scan.point_of(head), OrthantSet(d, masks[r]), prof.essential, prof.degree, prof.floral
         )
-        faces.append(Face(len(free), free, fixed, tuple(boxes[bounds[r] : bounds[r + 1]]), rep))
-    faces = tuple(faces)
-    # The face index of every position; the last slot maps the exterior's -1.
-    rank = np.full(labels.size + 1, -1)
-    rank[roots[order]] = np.arange(len(faces))
-    face_at = rank[labels]
-    # Position p lies in the closure of position q iff on every axis
-    # p_j == q_j, or q_j is even (a slab interior) and |p_j - q_j| == 1.
-    steps = [
-        [(slice(None), slice(None))]
-        + [(slice(1, n - 1, 2), slice(1 + o, n - 1 + o, 2)) for o in (-1, 1)]
-        for n in labels.shape
-    ]
-    # The pair codes of every offset are sorted once and deduplicated by
-    # comparing neighbours: plain ``np.unique`` imports ``numpy.ma``.
-    found = []
-    for step in itertools.islice(itertools.product(*steps), 1, None):
-        src, tgt = zip(*step)
-        a, b = face_at[src], face_at[tgt]
-        hit = (a != b) & (a >= 0) & (b >= 0)
-        found.append(a[hit] * len(faces) + b[hit])
-    codes = np.sort(np.concatenate(found))
-    first = np.ones(codes.shape, dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    inner, outer = np.divmod(codes[first], len(faces))
-    return FacePoset(faces, frozenset(zip(inner.tolist(), outer.tolist())))
+        faces.append(Face(len(free), free, fixed, tuple(boxes[bounds[f] : bounds[f + 1]]), rep))
+    incidence = frozenset((a, b) for b, under in enumerate(below) for a in under)
+    return FacePoset(tuple(faces), incidence)
 
 
 def cross_section(P: IntegralOrthotope, axes_values: Mapping) -> IntegralOrthotope:

@@ -419,10 +419,9 @@ def _reference_mu_sum(scan):
     edge), over 2^d scale^d.  The library reads the same sum off the cell
     count."""
     d = scan.dim
-    mu = np.array(
-        [lattice._mask_profile(d, m).mu_d for m in scan.unique_masks], dtype=object
-    )
-    total = mu[scan.inverse]
+    inverse, masks = _full_grid(scan)
+    mu = np.array([lattice._mask_profile(d, m).mu_d for m in masks], dtype=object)
+    total = mu[inverse]
     for j in reversed(range(d)):
         w = np.ones(scan.shape[j], dtype=object)
         w[0::2] = [int(width) - 1 for width in scan.widths(j)]
@@ -618,8 +617,8 @@ def _reference_skeleton(P):
     axis both ways while the positions have degree 1 with that axis
     inessential, and join the vertex where the walk stops."""
     scan = lattice._require_generic(P)
-    inverse = scan.inverse
-    profiles = [lattice._mask_profile(P.dim, m) for m in scan.unique_masks]
+    inverse, masks = _full_grid(scan)
+    profiles = [lattice._mask_profile(P.dim, m) for m in masks]
     keep = [i for i, prof in enumerate(profiles) if prof.degree == 0]
     sub = inverse[(slice(1, None, 2),) * P.dim]
     vertex_positions = 2 * np.argwhere(np.isin(sub, keep)) + 1
@@ -968,11 +967,88 @@ def test_face_poset_matches_networkx_regions_and_cell_incidence(P):
         assert sum(math.prod(map(operator.sub, h, l)) for l, h in f.boxes) == len(f.cells)
 
 
+
+def _joined_along_the_last_axis(boxes):
+    """``boxes``, disjoint, with each run of them that meet end to start
+    along the last coordinate, the others equal, joined into one box;
+    sorted."""
+    out = []
+    for lo, hi in sorted(boxes, key=lambda b: (b[0][:-1], b[1][:-1], b[0][-1])):
+        if out and out[-1][0][:-1] == lo[:-1] and out[-1][1][:-1] == hi[:-1]:
+            if out[-1][1][-1] == lo[-1]:
+                out[-1] = (out[-1][0], hi)
+                continue
+        out.append((lo, hi))
+    return sorted(out)
+
+
+def _assert_faces_match_the_full_grid(P):
+    """The run-based faces of ``P`` against the dense full-grid oracle:
+    the same order, dims, free and fixed axes, representatives and
+    incidence.  The oracle holds a box per slab interior; where the grid's
+    last axis is free in a face, joining them along it gives the face's
+    boxes, each a maximal last-axis run, so they are disjoint and cover
+    the face's cells, and their volumes sum to its cell count."""
+    fp = face_poset(P)
+    faces, incidence = _grid_face_poset(P)
+
+    def seen(f):
+        return f.dim, f.free_axes, f.fixed, f.representative
+
+    assert [seen(f) for f in fp.faces] == [seen(f) for f in faces], P.boxes
+    assert fp.incidence == incidence, P.boxes
+    for f, slabs in zip(fp.faces, faces):
+        expected = sorted(slabs.boxes)
+        if f.free_axes and f.free_axes[-1] == P.dim:
+            expected = _joined_along_the_last_axis(expected)
+        assert sorted(f.boxes) == expected, (P.boxes, f)
+
+        def volume_of(boxes):
+            return sum(math.prod(map(operator.sub, h, l)) for l, h in boxes)
+
+        assert volume_of(f.boxes) == volume_of(slabs.boxes)
+
+
+def _far_models():
+    """Models the dense oracle can check but cell lists cannot: empty
+    ones, d=1, coordinates at both ends of the range the scan holds, and
+    slabs wider than int64."""
+    least, most = lattice._COORDINATE_RANGE
+    yield from (from_boxes(d, []) for d in (1, 2, 3))
+    yield from_boxes(1, [((least,), (least + 2,)), ((least + 3,), (most,))])
+    yield from_boxes(
+        2, [((least, least), (least + 3, most)), ((most - 5, least + 1), (most, least + 4))]
+    )
+    yield from_boxes(3, [((least,) * 3, (least + 2, most, most)), ((0, 0, least + 1), (most,) * 3)])
+    yield from_boxes(2, [((-(2**62) - 5, 0), (2**62 + 5, 1))])
+    yield from_boxes(2, [((-(2**62) - 5, 0), (2**62 + 5, 1)), ((0, 1), (1, 2**62))])
+
+
+@pytest.mark.parametrize("P", list(_face_poset_models()) + list(_far_models()))
+def test_run_faces_match_the_full_grid(P):
+    _assert_faces_match_the_full_grid(P)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 4))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_run_faces_match_the_full_grid_on_generic_unions(dim, data):
+    if data.draw(st.booleans()):
+        # corners from a few coordinates, so boxes touch and slabs merge
+        P = _contact_union(data, dim)
+        if not check_generic(P):
+            return
+    else:
+        count = data.draw(st.integers(1, 6))
+        extent = data.draw(st.integers(2 * count - 1, 6 * count))
+        P = random_generic(dim, count, extent, data.draw(st.integers(0, 2**16)))
+    _assert_faces_match_the_full_grid(P)
+
 def test_face_poset_on_long_thin_boxes_reads_the_small_scan(monkeypatch):
     P = from_boxes(2, [((0, 0), (10**4, 1)), ((5000, 1), (5001, 10**4))])
     built = _count_scans(monkeypatch)
     fp = face_poset(P)
-    assert built == [P] and P._scan.inverse.shape == (9, 7)
+    assert built == [P] and P._scan.shape == (9, 7)
     assert fp.f_vector() == (8, 8, 1)
     assert sum(len(f.cells) for f in fp.faces) == 60_007
 
@@ -1024,7 +1100,11 @@ def test_face_equality_and_hash_need_no_cells(monkeypatch):
 
 def test_face_equality_compares_boxes_as_listed():
     # one L from its five cells (unit slabs) and from two boxes (a slab of
-    # width 2 on each arm): the same point set, decomposed differently
+    # width 2 on each arm): the same point set, decomposed differently.  A
+    # face holds one box per maximal run along the last axis, y: the cells
+    # give the runs x=0: y in [0,3), x=1: [0,1) and x=2: [0,1), three
+    # boxes; the two boxes give x in [0,1): [0,3) and x in [1,3): [0,1),
+    # two boxes
     cells = [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]
     by_cells = face_poset(from_cells(2, cells)).faces
     by_boxes = face_poset(from_boxes(2, [((0, 0), (3, 1)), ((0, 1), (1, 3))])).faces
@@ -1034,7 +1114,8 @@ def test_face_equality_compares_boxes_as_listed():
     (top_cells,), (top_boxes,) = (
         [f for f in faces if f.dim == 2] for faces in (by_cells, by_boxes)
     )
-    assert len(top_cells.boxes) == 5 and len(top_boxes.boxes) == 3
+    assert top_cells.boxes == (((0, 0), (1, 3)), ((1, 0), (2, 1)), ((2, 0), (3, 1)))
+    assert top_boxes.boxes == (((0, 0), (1, 3)), ((1, 0), (3, 1)))
     assert top_cells != top_boxes and top_cells.cells == top_boxes.cells == set(cells)
 
 
@@ -1248,27 +1329,186 @@ class _FullScan:
         ]
 
 
+def _vertex_codes(scan):
+    """The vertex grid's codes at every position, expanded from the scan's
+    ``vertex_runs``."""
+    keys, codes = scan.vertex_runs
+    lengths = lattice._run_ends(keys, math.prod(scan.vertex_shape)) - keys
+    return np.repeat(codes, lengths).reshape(scan.vertex_shape)
+
+
+def _expand_axis(codes, table, dim, j):
+    """One axis pass from the vertex grid to the full doubled grid: the
+    edges of axis j, coded into ``table``, are interleaved with the slab
+    interiors beside them.  Slab k's cone is the cylinder over the lo side
+    of the cone on edge k, the edge between slabs k and k+1, and the last
+    slab, the padding, is empty, so the slab codes are read off one lookup
+    entry per code.  Masks first met there get codes K, K+1, ..., so every
+    mask is held once and every code is used."""
+    code = {m: c for c, m in enumerate(table)}
+    lo = [code.setdefault(_cofactor(m, dim, j, False), len(code)) for m in table]
+    exterior = code.setdefault(0, len(code))
+    dtype = lattice._code_dtype(len(code))
+    head = (slice(None),) * j
+    shape = list(codes.shape)
+    shape[j] = 2 * shape[j] + 1
+    out = np.empty(shape, dtype=dtype)
+    out[head + (slice(1, None, 2),)] = codes
+    out[head + (slice(0, -1, 2),)] = np.array(lo, dtype=dtype)[codes]
+    out[head + (-1,)] = exterior
+    return out, list(code)
+
+
+def _run_starts(codes):
+    """The C-order flat index of the first position of each maximal run of
+    ``codes`` along the last axis, the first of every row included."""
+    flat = codes.reshape(-1, codes.shape[-1])
+    starts = np.ones(flat.shape, dtype=bool)
+    starts[:, 1:] = flat[:, 1:] != flat[:, :-1]
+    return np.flatnonzero(starts)
+
+
+def _full_grid(scan):
+    """Oracle of the full doubled grid of a scan, dense: the code of every
+    position and the masks they index, composed from the vertex grid's
+    codes with one ``_expand_axis`` pass per axis.  The library holds the
+    same grid as runs (``lattice._full_runs``)."""
+    codes, table = _vertex_codes(scan), scan.vertex_masks
+    for j in range(scan.dim):
+        codes, table = _expand_axis(codes, table, scan.dim, j)
+    return codes, table
+
+
+def _full_grid_bytes(shape, runs=0):
+    """Estimated peak bytes of ``_full_grid`` on a doubled grid of this
+    shape from ``runs`` vertex runs, as the library charged it when it
+    composed the grid: the last axis pass holds the previous pass's codes,
+    their slab codes and the new codes, 2 bytes each, beside the vertex
+    codes and 8 bytes per run.  Kept as the yardstick of what a dense grid
+    costs."""
+    positions = math.prod(shape)
+    previous = positions // shape[-1] * ((shape[-1] - 1) // 2)
+    vertex = math.prod((n - 1) // 2 for n in shape)
+    return 2 * vertex + 8 * runs + 4 * previous + 2 * positions
+
+
+def _grid_regions(inverse, empty):
+    """Oracle labelling on the dense full grid: connected components of
+    axis-adjacent positions that share one code other than ``empty``, each
+    labelled by the C-order flat index of its first position; exterior
+    positions get -1.  Roots hook under the smallest root they meet and
+    pointer jumping flattens the trees, until no join crosses two trees."""
+    sides = [
+        ((slice(None),) * j + (slice(None, -1),), (slice(None),) * j + (slice(1, None),))
+        for j in range(inverse.ndim)
+    ]
+    joins = [(inverse[lo] == inverse[hi]) & (inverse[lo] != empty) for lo, hi in sides]
+    index = np.arange(inverse.size).reshape(inverse.shape)
+    u = np.concatenate([index[lo][join] for (lo, _hi), join in zip(sides, joins)])
+    v = np.concatenate([index[hi][join] for (_lo, hi), join in zip(sides, joins)])
+    parent = np.arange(inverse.size)
+    while u.size:
+        pu, pv = parent[u], parent[v]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+        apart = parent[u] != parent[v]
+        u, v = u[apart], v[apart]
+    return np.where(inverse.reshape(-1) == empty, -1, parent).reshape(inverse.shape)
+
+
+def _grid_face_poset(P):
+    """Oracle of ``face_poset`` on the dense full grid, as the library
+    computed it before it held the grid as runs: regions labelled position
+    by position, one box per slab interior of each region, and the closure
+    incidence read off all 3^d - 1 offsets, where position p lies in the
+    closure of position q iff on every axis p_j == q_j, or q_j is even and
+    |p_j - q_j| == 1."""
+    scan = lattice._require_generic(P)
+    if P.is_empty:
+        return (), frozenset()
+    d = P.dim
+    inverse, masks = _full_grid(scan)
+    labels = _grid_regions(inverse, masks.index(0))
+    inside = np.flatnonzero(labels.reshape(-1) >= 0)
+    roots, owner = np.unique(labels.reshape(-1)[inside], return_inverse=True)
+    pos = np.stack(np.unravel_index(inside, labels.shape), axis=-1)
+    heads = np.stack(np.unravel_index(roots, labels.shape), axis=-1).tolist()
+    masks = [masks[c] for c in inverse.reshape(-1)[roots].tolist()]
+    profs = [lattice._mask_profile(d, m) for m in masks]
+    fixed_axes = np.array(
+        [[a in p.essential for a in range(1, d + 1)] for p in profs], dtype=bool
+    )[owner]
+    rows = np.flatnonzero(((pos % 2 == 0) | fixed_axes).all(axis=1))
+    rows = rows[np.argsort(owner[rows], kind="stable")]
+    slab = pos[rows] // 2
+    lo = np.stack([scan.edges[j][slab[:, j]] for j in range(d)], axis=-1).tolist()
+    hi = np.stack([scan.edges[j][slab[:, j] + 1] for j in range(d)], axis=-1).tolist()
+    keep = (~fixed_axes[rows]).tolist()
+    boxes = list(zip(*(map(tuple, map(itertools.compress, c, keep)) for c in (lo, hi))))
+    bounds = np.searchsorted(owner[rows], np.arange(len(roots) + 1))
+    order = sorted(range(len(roots)), key=lambda r: (d - len(profs[r].essential), heads[r]))
+    faces = []
+    for r in order:
+        head, prof = heads[r], profs[r]
+        free = tuple(a for a in range(1, d + 1) if a not in prof.essential)
+        fixed = tuple(
+            (a, int(scan.edges[a - 1][(head[a - 1] + 1) // 2])) for a in prof.essential
+        )
+        rep = lattice.PointClass(
+            scan.point_of(head), OrthantSet(d, masks[r]), prof.essential, prof.degree, prof.floral
+        )
+        faces.append(
+            lattice.Face(len(free), free, fixed, tuple(boxes[bounds[r] : bounds[r + 1]]), rep)
+        )
+    rank = np.full(labels.size + 1, -1)
+    rank[roots[order]] = np.arange(len(faces))
+    face_at = rank[labels]
+    steps = [
+        [(slice(None), slice(None))]
+        + [(slice(1, n - 1, 2), slice(1 + o, n - 1 + o, 2)) for o in (-1, 1)]
+        for n in labels.shape
+    ]
+    incidence = set()
+    for step in itertools.islice(itertools.product(*steps), 1, None):
+        src, tgt = zip(*step)
+        a, b = face_at[src], face_at[tgt]
+        hit = (a != b) & (a >= 0) & (b >= 0)
+        incidence.update(zip(a[hit].tolist(), b[hit].tolist()))
+    return tuple(faces), frozenset(incidence)
+
+
 def _assert_codes_match_orthant_passes(P, rng, samples=6):
-    """The scan's codes, decoded through ``unique_masks``, equal the
-    reference masks at every position and ``classify_point`` at sampled
-    ones; the table holds each mask once and every code is used."""
+    """The scan's full grid, composed by the oracle ``_full_grid`` and
+    decoded through its masks, equals the reference masks at every
+    position and ``classify_point`` at sampled ones; the table holds each
+    mask once and every code is used.  The library's ``_full_runs`` are
+    the maximal runs of those codes along the last axis, codes and dtype
+    included."""
     scan = lattice._Scan(P)
     expected = _masks_by_orthant(P.dim, lattice._occupancy(P, scan.edges))
-    decoded = np.array(scan.unique_masks, dtype=object)[scan.inverse]
+    inverse, masks = _full_grid(scan)
+    decoded = np.array(masks, dtype=object)[inverse]
     assert decoded.shape == expected.shape
     assert np.array_equal(decoded, expected.astype(object))
-    count = len(scan.unique_masks)
-    assert len(set(scan.unique_masks)) == count
-    assert np.array_equal(np.unique(scan.inverse), np.arange(count))
-    assert scan.inverse.dtype == np.dtype(np.int16 if count <= 32767 else np.int32)
+    count = len(masks)
+    assert len(set(masks)) == count
+    assert np.array_equal(np.unique(inverse), np.arange(count))
+    assert inverse.dtype == np.dtype(np.int16 if count <= 32767 else np.int32)
+    keys, codes, run_masks = lattice._full_runs(scan)
+    assert run_masks == masks and codes.dtype == inverse.dtype
+    assert np.array_equal(keys, _run_starts(inverse)), P.boxes
+    assert np.array_equal(codes, inverse.reshape(-1)[keys]), P.boxes
     # the vertex grid holds the full grid's all-odd positions, and it too
     # holds each mask once and uses every code
-    vertex = np.array(scan.vertex_masks, dtype=object)[scan.vertex_codes]
+    vertex_codes = _vertex_codes(scan)
+    vertex = np.array(scan.vertex_masks, dtype=object)[vertex_codes]
     assert np.array_equal(vertex, decoded[(slice(1, None, 2),) * P.dim])
     count = len(scan.vertex_masks)
     assert len(set(scan.vertex_masks)) == count
-    assert np.array_equal(np.unique(scan.vertex_codes), np.arange(count))
-    assert scan.vertex_codes.dtype == np.dtype(np.int16 if count <= 32767 else np.int32)
+    assert np.array_equal(np.unique(vertex_codes), np.arange(count))
+    assert vertex_codes.dtype == np.dtype(np.int16 if count <= 32767 else np.int32)
     for _ in range(samples):
         idx = tuple(rng.randrange(s) for s in decoded.shape)
         cone = classify_point(P, scan.point_of(idx)).cone
@@ -1312,7 +1552,7 @@ def test_axis_pass_masks_match_orthant_passes(dim):
 def test_axis_pass_masks_match_orthant_passes_in_dimension_8():
     rng = random.Random(1008)
     cube = _assert_codes_match_orthant_passes(unit_cube(8), rng)
-    assert len(cube.unique_masks) == 3**8 + 1
+    assert len(_full_grid(cube)[1]) == 3**8 + 1
     # two unit cubes meeting along a 6-dimensional face: degenerate there
     pair = from_boxes(
         8,
@@ -1328,15 +1568,19 @@ def test_full_grid_past_32767_masks_takes_int32_codes():
     rng = random.Random(1010)
     cube = unit_cube(10)
     scan = lattice._Scan(cube)
-    count = len(scan.unique_masks)
-    assert count == 3**10 + 1 and len(set(scan.unique_masks)) == count
-    assert scan.inverse.dtype == np.int32
-    assert np.bincount(scan.inverse.reshape(-1), minlength=count).all()
+    keys, codes, masks = lattice._full_runs(scan)
+    count = len(masks)
+    assert count == 3**10 + 1 and len(set(masks)) == count
+    assert codes.dtype == np.int32
+    assert np.bincount(codes, minlength=count).all()
+    inverse, oracle_masks = _full_grid(scan)
+    assert oracle_masks == masks and np.array_equal(keys, _run_starts(inverse))
     # positions 1..3 on every axis lie in the closed cube, where masks differ
     for trial in range(40):
         idx = tuple(rng.randrange(1, 4) if trial % 4 else rng.randrange(5) for _ in range(10))
         cone = classify_point(cube, scan.point_of(idx)).cone
-        assert scan.unique_masks[scan.inverse[idx]] == cone.mask, idx
+        run = np.searchsorted(keys, np.ravel_multi_index(idx, scan.shape), "right") - 1
+        assert masks[codes[run]] == cone.mask, idx
 
 
 def test_pair_table_fallback_gives_the_same_codes(monkeypatch):
@@ -1346,10 +1590,9 @@ def test_pair_table_fallback_gives_the_same_codes(monkeypatch):
     monkeypatch.setattr(lattice, "_PAIR_TABLE_LIMIT", 0)
     for P, scan in zip(models, dense):
         sorted_scan = _assert_codes_match_orthant_passes(P, rng)
-        assert sorted_scan.unique_masks == scan.unique_masks
-        assert np.array_equal(sorted_scan.inverse, scan.inverse)
         assert sorted_scan.vertex_masks == scan.vertex_masks
-        assert np.array_equal(sorted_scan.vertex_codes, scan.vertex_codes)
+        for got, want in zip(sorted_scan.vertex_runs, scan.vertex_runs):
+            assert np.array_equal(got, want)
 
 
 # Corner coordinates per axis for the property test below: every box
@@ -1387,7 +1630,8 @@ def test_scan_agrees_with_oracles_on_contact_unions(dim, data):
     scan = lattice._Scan(P)
     full = _FullScan(P)
     # every position's code decodes to the brute-force cone
-    decoded = np.array(scan.unique_masks, dtype=object)[scan.inverse]
+    inverse, masks = _full_grid(scan)
+    decoded = np.array(masks, dtype=object)[inverse]
     for idx in np.ndindex(decoded.shape):
         assert decoded[idx] == classify_point(by_cells, scan.point_of(idx)).cone.mask
     # verdict and witness: compressed scan, full-resolution scan, brute force
@@ -1484,12 +1728,9 @@ def _assert_runs_match_dense_passes(P):
                 codes, table = _pair_axis(codes, table, j)
             verdict = check_generic(from_boxes(P.dim, P.boxes))
         assert scan.vertex_masks == table, P.boxes
-        assert scan.vertex_codes.dtype == codes.dtype
-        assert np.array_equal(scan.vertex_codes, codes), P.boxes
-        flat = codes.reshape(-1, codes.shape[-1])
-        starts = np.ones(flat.shape, dtype=bool)
-        starts[:, 1:] = flat[:, 1:] != flat[:, :-1]
-        keys = np.flatnonzero(starts)
+        assert scan.vertex_runs[1].dtype == codes.dtype
+        assert np.array_equal(_vertex_codes(scan), codes), P.boxes
+        keys = _run_starts(codes)
         assert np.array_equal(scan.vertex_runs[0], keys)
         assert np.array_equal(scan.vertex_runs[1], codes.reshape(-1)[keys])
         vertex = np.array([m in scan.profiles for m in table], dtype=bool)
@@ -1694,58 +1935,62 @@ def _record_charges(monkeypatch, name="_run_bytes"):
     return charges
 
 
-def _scan_peaks(P):
-    """A fresh scan of ``P``, the traced peak bytes of building it and the
-    peak, from then on, of deriving its full grid."""
-    lattice._Scan(P).inverse  # fill the mask-profile cache first
+def _traced_peak(run, *args):
+    """The result of ``run(*args)`` and the peak bytes traced while it ran."""
     tracemalloc.start()
     try:
-        scan = lattice._Scan(P)
-        _current, vertex_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        scan.inverse
+        result = run(*args)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return scan, vertex_peak, peak
+    return result, peak
+
+
+def _scan_peaks(P):
+    """A fresh scan of ``P`` and the traced peak bytes of building it, with
+    the mask-profile cache filled first."""
+    lattice._Scan(P)
+    return _traced_peak(lattice._Scan, P)
+
+
+def _face_runs(scan):
+    """The steps of ``face_poset`` that hold runs: the full grid's runs,
+    charged once more before they are labelled, and their regions."""
+    keys, codes, masks = lattice._full_runs(scan)
+    lattice._check_budget(scan.shape, lattice._face_bytes(len(keys)))
+    return lattice._run_regions(keys, codes, scan.shape, masks.index(0))
 
 
 def test_scan_peak_matches_its_estimate(monkeypatch):
     # the run scan, all that a generic analyze builds, is charged on its
     # occupancy and first pass, then on its runs before each pass; it
     # peaked at 0.78, 0.88 and 0.87 of its largest charge on these models,
-    # and at 0.17 to 0.25 of the full grid's estimate, which face_poset
-    # alone charges, with the vertex runs found
+    # and under 0.3 of what composing the dense full grid needed
     runs = _record_charges(monkeypatch)
     first = _record_charges(monkeypatch, "_first_bytes")
     for args in ((2, 300, 1210, 1), (3, 30, 130, 1), (4, 6, 34, 1)):
         first.clear()
         runs.clear()
-        scan, vertex_peak, peak = _scan_peaks(random_generic(*args))
+        scan, peak = _scan_peaks(random_generic(*args))
         charge = max(first + runs)
-        assert scan.inverse.dtype == np.int16
-        assert 0.7 * charge <= vertex_peak <= charge, args
-        assert vertex_peak < 0.3 * lattice._scan_bytes(scan.shape), args
-        assert charge < lattice._scan_bytes(scan.shape), args
-        estimate = lattice._scan_bytes(scan.shape, len(scan.vertex_runs[0]))
-        assert 0.9 * estimate <= peak <= 1.1 * estimate, args
+        assert 0.7 * charge <= peak <= charge, args
+        assert peak < 0.3 * _full_grid_bytes(scan.shape), args
+        assert charge < _full_grid_bytes(scan.shape), args
 
 
 def test_run_scan_peak_matches_the_charge_of_its_passes(monkeypatch):
-    # on crossing stripes the run passes, not the full grid, set the peak:
+    # on crossing stripes the run passes, not the occupancy, set the peak:
     # 0.77 of their largest charge with the presence table and 0.74 with
-    # np.unique, each over 4 times the grid's estimate
+    # np.unique, each over 4 times a dense full grid's estimate
     charges = _record_charges(monkeypatch)
     P = _crossing_stripes(150)
     for limit in (lattice._PAIR_TABLE_LIMIT, 0):
         monkeypatch.setattr(lattice, "_PAIR_TABLE_LIMIT", limit)
         charges.clear()
-        scan, vertex_peak, peak = _scan_peaks(P)
+        scan, peak = _scan_peaks(P)
         assert len(scan.vertex_runs[0]) == math.prod(scan.vertex_shape)
-        assert max(charges) > 4 * lattice._scan_bytes(scan.shape), limit
-        assert 0.7 * max(charges) <= vertex_peak <= max(charges), limit
-        estimate = lattice._scan_bytes(scan.shape, len(scan.vertex_runs[0]))
-        assert 0.9 * estimate <= peak <= 1.1 * estimate, limit
+        assert max(charges) > 4 * _full_grid_bytes(scan.shape), limit
+        assert 0.7 * max(charges) <= peak <= max(charges), limit
 
 
 def test_occupancy_of_many_boxes_stays_within_the_run_charge(monkeypatch):
@@ -1754,8 +1999,8 @@ def test_occupancy_of_many_boxes_stays_within_the_run_charge(monkeypatch):
     charges = _record_charges(monkeypatch)
     P = from_cells(2, [(x, y) for x in range(400) for y in range(400) if (x + y) % 2 == 0])
     assert len(P.boxes) == 80_000
-    _scan, vertex_peak, _peak = _scan_peaks(P)
-    assert vertex_peak <= max(charges)
+    _scan, peak = _scan_peaks(P)
+    assert peak <= max(charges)
 
 
 def test_runs_over_budget_are_refused_before_their_pass(monkeypatch):
@@ -1786,42 +2031,19 @@ def test_runs_over_budget_are_refused_before_their_pass(monkeypatch):
     assert peak == peaks[-1]  # the refused pass allocated nothing
     assert P._scan is None
 
-    # the full grid is charged with the vertex runs the scan found
+    # face_poset charges the full grid's first axis on the vertex runs the
+    # scan found, before that axis allocates
     P = random_generic(2, 40, 170, seed=1)
     scan = lattice._scan_for(P)
-    estimate = lattice._scan_bytes(scan.shape, len(scan.vertex_runs[0]))
+    estimate = lattice._face_bytes(len(scan.vertex_runs[0]))
     monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", estimate - 1)
     assert check_generic(P)
-    with pytest.raises(lattice.ScanTooLargeError) as info:
-        scan.inverse
-    assert info.value.estimate == estimate > lattice._scan_bytes(scan.shape)
-
-
-def test_label_bound_covers_the_labelling_peak(monkeypatch):
-    # charged on the joins counted, the bound was 1.35 to 1.53 times the
-    # peak; on every axis-adjacent pair it had been up to 13 times
-    charges = _record_charges(monkeypatch, "_label_bytes")
-    models = ((4, 6, 34, 1), (3, 10, 50, 1), (3, 30, 130, 1), (2, 300, 1210, 1))
-    for args in models + ((5, 3, 9, 1), (6, 2, 5, 1)):
-        scan = lattice._Scan(random_generic(*args))
-        charges.clear()
-        tracemalloc.start()
-        try:
-            lattice._region_labels(scan)
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert charges[0] < charges[-1]  # with no joins, then with the joins
-        assert charges[-1] / 2 <= peak <= charges[-1], args
-
-
-def test_face_poset_refuses_a_labelling_over_budget(monkeypatch):
-    P = random_generic(3, 10, 50, seed=1)
-    shape = tuple(2 * len(e) - 3 for e in lattice._slab_edges(P))
-    scan_bytes, label_bytes = lattice._scan_bytes(shape), lattice._label_bytes(shape, 0)
-    assert scan_bytes < label_bytes
-    monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", (scan_bytes + label_bytes) // 2)
-    assert check_generic(P)
+    charge, peaks = lattice._face_bytes, []
+    monkeypatch.setattr(
+        lattice,
+        "_face_bytes",
+        lambda runs: peaks.append(tracemalloc.get_traced_memory()[1]) or charge(runs),
+    )
     tracemalloc.start()
     try:
         with pytest.raises(lattice.ScanTooLargeError) as info:
@@ -1829,10 +2051,56 @@ def test_face_poset_refuses_a_labelling_over_budget(monkeypatch):
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert info.value.positions == math.prod(shape)
-    assert info.value.estimate == label_bytes
-    # refused before the labelling allocates even one byte per position
-    assert peak < math.prod(shape)
+    assert info.value.estimate == estimate > charge(0)
+    # nothing but the error itself was allocated after the charge
+    assert len(peaks) == 1 and peak < peaks[0] + 2048
+
+
+def test_label_bound_covers_the_labelling_peak(monkeypatch):
+    # face_poset's steps on runs, the full grid's axes and the labelling,
+    # are charged on the runs they read; the peak was 0.62 to 0.86 of the
+    # largest charge, the labelling's, on these models
+    charges = _record_charges(monkeypatch, "_face_bytes")
+    models = ((4, 6, 34, 1), (3, 10, 50, 1), (3, 30, 130, 1), (2, 300, 1210, 1))
+    for args in models + ((5, 3, 9, 1), (6, 2, 5, 1)):
+        scan = lattice._Scan(random_generic(*args))
+        charges.clear()
+        _regions, peak = _traced_peak(_face_runs, scan)
+        assert len(charges) == scan.dim + 1 and max(charges) == charges[-1]
+        assert charges[0] < charges[-1]  # on the vertex runs, then on the full grid's
+        assert charges[-1] / 2 <= peak <= charges[-1], args
+
+
+def test_face_poset_refuses_a_labelling_over_budget(monkeypatch):
+    # each step of face_poset on runs is charged before it allocates, and
+    # the charges grow step by step: with the limit just under a step's
+    # charge, the steps before it run and that one allocates nothing
+    P = random_generic(3, 10, 50, seed=1)
+    scan = lattice._scan_for(P)
+    charges = _record_charges(monkeypatch, "_face_bytes")
+    face_poset(P)
+    steps = list(charges)
+    assert len(steps) == P.dim + 1 and all(a < b for a, b in zip(steps, steps[1:]))
+    charge, peaks = lattice._face_bytes, []
+    monkeypatch.setattr(
+        lattice,
+        "_face_bytes",
+        lambda runs: peaks.append(tracemalloc.get_traced_memory()[1]) or charge(runs),
+    )
+    for k, need in enumerate(steps):
+        monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", need - 1)
+        charges.clear()
+        peaks.clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(lattice.ScanTooLargeError) as info:
+                face_poset(P)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.positions == math.prod(scan.shape)
+        assert info.value.estimate == need and charges == steps[: k + 1]
+        assert peak < peaks[-1] + 2048  # the refused step allocated only the error
 
 
 def test_cubical_euler_peak_stays_under_the_scan_estimate():
@@ -1844,7 +2112,7 @@ def test_cubical_euler_peak_stays_under_the_scan_estimate():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < lattice._scan_bytes(scan.inverse.shape)
+    assert peak < _full_grid_bytes(scan.shape)
     assert chi == euler(P)
 
 
@@ -1911,18 +2179,19 @@ def test_analyze_builds_one_scan(monkeypatch):
 
 
 def test_only_face_poset_composes_the_full_grid(monkeypatch, torus):
-    """Only ``face_poset`` composes the full doubled grid, once per scan.
-    The witness of a degenerate verdict is read off the vertex grid, so
-    neither ``check_generic`` nor the formulas that raise with the witness
-    compose it."""
-    passes = []
-    original = lattice._expand_axis
+    """Only ``face_poset`` derives the full doubled grid, as runs, once per
+    call.  The witness of a degenerate verdict is read off the vertex grid,
+    so neither ``check_generic`` nor the formulas that raise with the
+    witness derive it.  On a scan already built, ``face_poset`` peaks under
+    a fifth of what composing the dense grid needed."""
+    derived = []
+    original = lattice._full_runs
 
-    def counting(codes, table, dim, j):
-        passes.append(j)
-        return original(codes, table, dim, j)
+    def counting(scan):
+        derived.append(scan)
+        return original(scan)
 
-    monkeypatch.setattr(lattice, "_expand_axis", counting)
+    monkeypatch.setattr(lattice, "_full_runs", counting)
     models = [from_boxes(3, torus.boxes), unit_cube(7)] + [
         random_generic(d, 6, 30, seed=1) for d in (1, 2, 3, 4)
     ]
@@ -1932,23 +2201,31 @@ def test_only_face_poset_composes_the_full_grid(monkeypatch, torus):
         vertices(P)
         volume(P, VolumeMethod.VOXEL_COUNT)
         euler(P, EulerMethod.CUBICAL_COMPLEX)
-    assert passes == []
+    assert derived == []
     P = models[0]
     face_poset(P)
     face_poset(P)
-    assert passes == [0, 1, 2]
+    assert derived == [P._scan] * 2
     Q = from_boxes(
         3, [((0, 0, 0), (2, 2, 1)), ((0, 0, 1), (1, 1, 2)), ((1, 1, 1), (2, 2, 2))]
     )
     witness = check_generic(Q).witness
-    assert witness is not None and passes == [0, 1, 2]
+    assert witness is not None
     body, code = cli._report(Q)
     assert code == cli.EXIT_NOT_GENERIC
-    for formula in (vertex_census, skeleton, volume, euler):
+    for formula in (vertex_census, skeleton, volume, euler, face_poset):
         with pytest.raises(NotGenericError) as info:
             formula(Q)
         assert info.value.witness == witness
-    assert passes == [0, 1, 2]
+    assert derived == [P._scan] * 2
+    # a grid of 4001^2 positions, which the dense grid needed 72 MB for
+    P = random_generic(2, 1000, 4010, seed=1)
+    face_poset(P)  # fill the mask-profile cache first
+    P = from_boxes(2, P.boxes)
+    yardstick = _full_grid_bytes(lattice._scan_for(P).shape)
+    assert yardstick > 70e6
+    _fp, peak = _traced_peak(face_poset, P)
+    assert peak < yardstick / 5
 
 
 def test_face_poset_reuses_the_cached_scan(monkeypatch):
