@@ -325,15 +325,18 @@ def _read_once(mask: int, dim: int, block: list[int], positive: dict[int, bool])
             return None
         kind, holds = Series, True
     # restrict to each part by fixing the other parts' literals to the
-    # value that leaves the part alone: false under a union, true under an
-    # intersection
+    # value that leaves the part alone, false under a union and true under
+    # an intersection: AND with the half-space where each takes it, looked
+    # up once per level, and copy across its axis
+    sides = [positive[i] == holds for i in block]
+    cuts = [(1 << i, _half_space_mask(dim, i, up), up) for i, up in zip(block, sides)]
     restricted = []
     for part in parts:
         sub = mask
-        for k in range(n):
+        for k, (step, half, up) in enumerate(cuts):
             if k not in part:
-                i = block[k]
-                sub = _cofactor(sub, dim, i, positive[i] == holds)
+                sub &= half
+                sub |= sub >> step if up else sub << step
         restricted.append(sub)
     if reduce(operator.or_ if kind is Parallel else operator.and_, restricted) != mask:
         return None

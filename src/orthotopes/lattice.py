@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from enum import Enum, unique
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -32,6 +33,7 @@ from .arrangement import (
     DEGENERATE,
     OrthantSet,
     SetOp,
+    _axis_signs,
     _cofactor,
     _half_space_mask,
     _recognize,
@@ -108,11 +110,11 @@ class ConsistencyError(RuntimeError):
 
 class ScanTooLargeError(MemoryError):
     """Raised before a classification scan (which ``==`` and ``hash``
-    build too), a step of ``face_poset`` on the full grid's runs or the
-    cubical Euler oracle allocates when the estimated peak exceeds the
-    scan's memory budget, or before a scan past its work bound in mask
-    bits (see ``_Scan``).  ``positions`` is the size of the doubled grid
-    and ``estimate`` the peak in bytes, or the mask bits."""
+    build too), a step of ``face_poset`` on the full grid's runs or its
+    output, or the cubical Euler oracle allocates when the estimated peak
+    exceeds the scan's memory budget, or before a scan past its work bound
+    in mask bits (see ``_Scan``).  ``positions`` is the size of the doubled
+    grid and ``estimate`` the peak in bytes, or the mask bits."""
 
     def __init__(self, positions: int, estimate: int, unit: str = "bytes"):
         self.positions = positions
@@ -341,18 +343,17 @@ def from_boxes(dim: int, boxes: Iterable, scale: int = 1) -> IntegralOrthotope:
     empty orthotope."""
     _validate_header(dim, scale)
     least, most = _COORDINATE_RANGE
-    clean = []
+    clean = set()
     for k, (lo, hi) in enumerate(boxes):
-        lo = tuple(int(c) for c in lo)
-        hi = tuple(int(c) for c in hi)
+        lo, hi = tuple(map(int, lo)), tuple(map(int, hi))
         if len(lo) != dim or len(hi) != dim:
             raise ValueError(f"box {k} has wrong arity for dimension {dim}")
-        if any(l >= h for l, h in zip(lo, hi)):
+        if not all(map(operator.lt, lo, hi)):
             raise ValueError(f"box {k} is degenerate: {lo} .. {hi}")
         if min(lo) < least or max(hi) > most:
             raise ValueError(f"box {k} has a coordinate outside [{least}, {most}]")
-        clean.append((lo, hi))
-    return IntegralOrthotope(dim, scale, tuple(sorted(set(clean))))
+        clean.add((lo, hi))
+    return IntegralOrthotope(dim, scale, tuple(sorted(clean)))
 
 
 def from_cells(dim: int, cells: Iterable, scale: int = 1) -> IntegralOrthotope:
@@ -368,7 +369,7 @@ def from_cells(dim: int, cells: Iterable, scale: int = 1) -> IntegralOrthotope:
         if min(cell) < least or max(cell) >= most:
             raise ValueError(f"cell {cell} has a coordinate outside [{least}, {most - 1}]")
         cleaned.add(cell)
-    boxes = tuple((cell, tuple([c + 1 for c in cell])) for cell in sorted(cleaned))
+    boxes = tuple([(cell, tuple([c + 1 for c in cell])) for cell in sorted(cleaned)])
     return IntegralOrthotope(dim, scale, boxes)
 
 
@@ -400,7 +401,8 @@ class _MaskProfile(NamedTuple):
 
 
 @lru_cache(maxsize=1 << 20)
-def _mask_profile(dim: int, mask: int) -> _MaskProfile:
+def _class_profile(dim: int, mask: int) -> _MaskProfile:
+    """The profile of ``mask`` by direct recognition (see ``_mask_profile``)."""
     oset = OrthantSet(dim, mask)
     floral, essential = _recognize(oset)
     degenerate = floral is DEGENERATE
@@ -421,46 +423,41 @@ def _mask_profile(dim: int, mask: int) -> _MaskProfile:
     )
 
 
-def _mirrored(dim: int, mask: int, axes) -> int:
-    """``mask`` reflected in each of the 1-based ``axes``: the two halves
-    of the orthant table on either side of the axis swap."""
-    for a in axes:
-        step = 1 << (a - 1)
-        hi = _half_space_mask(dim, a - 1, True)
-        mask = ((mask & hi) >> step) | ((mask << step) & hi)
-    return mask
-
-
-def _vertex_profile(dim: int, mask: int, negative: int, mixed: int) -> _MaskProfile:
-    """The profile of a cone with every axis essential, ``negative`` and
-    ``mixed`` being its carried signs (see ``_pair_codes``), with one
-    recognition per sign class.  A cone with a mixed axis, not unate in
-    it, is degenerate, as ``_recognize`` decides.
-    Otherwise mirroring every negative-unate axis gives the monotone
-    representative of its class, and the cone is floral iff that is:
-    negating a literal keeps the diagram's shape, so the class key, the
-    bouquet sign and mu_d carry over, tau_d changes sign once per mirrored
-    axis, and on a mirrored axis so do the literal and the edge direction."""
+@lru_cache(maxsize=1 << 20)
+def _mask_profile(dim: int, mask: int, negative: int, mixed: int) -> _MaskProfile:
+    """The profile of any cone, ``negative`` and ``mixed`` being the axis
+    bitmasks of its signs (see ``_pair_codes``).  A cone not unate in some
+    essential axis is degenerate.  Mirroring every negative axis of another
+    gives the monotone representative of its sign class, recognized once
+    per class: the cone keeps its shape, axes, class and bouquet sign, with
+    literal and edge direction negated on mirrored axes, and its own mu_d
+    and tau_d, read off the mask."""
+    mu_d, tau_d = orthant_counts(OrthantSet(dim, mask))
+    if mixed:
+        essential = tuple(_axis_signs(dim, mask))
+        degree = dim - len(essential)
+        return _MaskProfile(mu_d, tau_d, essential, degree, DEGENERATE, True, False, None, 0, None)
     neg = frozenset(a for a in range(1, dim + 1) if negative >> (a - 1) & 1)
-    rep = None
-    if not mixed:
-        rep = _mask_profile(dim, _mirrored(dim, mask, neg))
-        if not neg:
-            return rep
-    if rep is None or rep.degenerate:
-        mu_d, tau_d = orthant_counts(OrthantSet(dim, mask))
-        return _MaskProfile(
-            mu_d, tau_d, tuple(range(1, dim + 1)), 0, DEGENERATE, True, False, None, 0, None
-        )
-    diagram = SignedSpd(rep.floral.shape, neg)
+    rep = mask
+    for a in neg:  # the two halves of the table on either side of the axis swap
+        step, hi = 1 << (a - 1), _half_space_mask(dim, a - 1, True)
+        rep = ((rep & hi) >> step) | ((rep << step) & hi)
+    rep = _class_profile(dim, rep)
+    if not neg or rep.degenerate:
+        return rep._replace(tau_d=tau_d)
+    diagram = SignedSpd(getattr(rep.floral, "diagram", rep.floral).shape, neg)
     if orthants_of(diagram, dim).mask != mask:
         raise ConsistencyError(f"sign class of mask {mask:#x} does not evaluate back")
-    toward = tuple(-t if a in neg else t for a, t in enumerate(rep.toward, 1))
-    tau_d = -rep.tau_d if len(neg) % 2 else rep.tau_d
-    return _MaskProfile(
-        rep.mu_d, tau_d, rep.essential, 0, diagram, False, True, rep.class_key,
-        rep.sigma, toward,
-    )
+    toward = rep.toward and tuple(-t if a in neg else t for a, t in enumerate(rep.toward, 1))
+    floral = replace(rep.floral, diagram=diagram) if rep.degree else diagram
+    return rep._replace(tau_d=tau_d, floral=floral, toward=toward)
+
+
+def _cone_profile(dim: int, mask: int) -> _MaskProfile:
+    """The profile of ``mask``, its axis signs read off it (``_axis_signs``)."""
+    signs = _axis_signs(dim, mask)
+    negative, mixed = (sum(1 << (a - 1) for a, s in signs.items() if s == t) for t in (-1, 0))
+    return _mask_profile(dim, mask, negative, mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +533,14 @@ def _face_bytes(runs: int) -> int:
     makes, at most three per run read, and ``_run_regions`` held 71 to 93
     per run labelled at d = 2..7; 64 KiB of small arrays."""
     return 120 * runs + (1 << 16)
+
+
+def _output_bytes(dim: int, regions: int, boxes: int) -> int:
+    """Estimated bytes that ``face_poset``'s output adds to its run tables:
+    1 KiB per region and 128 per face of its closure, at most 2^(dim-1) on
+    average (2.0 to 34.7 at d = 2..7), and per box its tuples, corners and
+    the lists they are read from (about 720, 100 and 470 bytes traced)."""
+    return (1024 + (64 << dim)) * regions + (256 + 128 * dim) * boxes
 
 
 def _code_dtype(count: int):
@@ -734,9 +739,9 @@ class _Scan:
     cylinder over a one-sided cross-section of the cone at the edge beside
     it, and cross-sections of floral cones are floral.  For the same reason
     a degenerate cylinder forces a degenerate cone with every axis
-    essential, so only those, read off the carried signs, are recognized:
-    ``profiles`` maps each to its profile, one recognition per sign class
-    (see ``_vertex_profile``).  That work grows with the masks' bits, 2^dim
+    essential, so only those, ``all_essential`` as read off the carried
+    signs, are recognized, by ``profiles`` once per sign class when asked
+    (see ``_mask_profile``).  That work grows with the masks' bits, 2^dim
     each, and a nonempty model has a corner mask per orthant, so a model
     whose corners alone pass ``_MASK_BIT_LIMIT`` bits is refused unbuilt.
     The whole grid is never held densely: ``face_poset`` alone derives its
@@ -770,11 +775,14 @@ class _Scan:
         self.vertex_masks = [entry[0] for entry in table]
         self.vertex_signs = [entry[1:] for entry in table]
         full = (1 << self.dim) - 1
-        self.profiles = {
-            m: _vertex_profile(self.dim, m, neg, mixed)
-            for m, pos, neg, mixed in table
-            if pos | neg | mixed == full
-        }
+        self.all_essential = np.array([p | n | x == full for _m, p, n, x in table], dtype=bool)
+
+    @cached_property
+    def profiles(self) -> dict:
+        """Each mask with ``all_essential`` mapped to its profile (see ``_mask_profile``)."""
+        masks, signs = self.vertex_masks, self.vertex_signs
+        vertex = np.flatnonzero(self.all_essential).tolist()
+        return {masks[c]: _mask_profile(self.dim, masks[c], *signs[c][1:]) for c in vertex}
 
     # position helpers ------------------------------------------------
 
@@ -844,10 +852,8 @@ class _Scan:
         vertex runs.  A degree-0 cone depends on the last axis, so it differs
         from both of its neighbours along it and its run is a single point.
         Degenerate degree-0 points are included so callers can report them."""
-        (keys, codes), table = self.vertex_runs, self.vertex_masks
-        shape = self.vertex_shape
-        vertex = np.array([m in self.profiles for m in table])
-        hit = vertex[codes].nonzero()[0]
+        (keys, codes), shape = self.vertex_runs, self.vertex_shape
+        hit = self.all_essential[codes].nonzero()[0]
         at = keys[hit]
         wide = (_run_ends(keys, math.prod(shape))[hit] - at != 1).nonzero()[0]
         if len(wide):
@@ -866,9 +872,12 @@ class _Scan:
 
     @cached_property
     def signed_vertices(self) -> tuple:
-        """(point, tau_d) of the ``vertex_entries`` with tau_d != 0: tau_d is
-        the indicator's d-th mixed difference, so they give the point set."""
-        return tuple((p, prof.tau_d) for p, _m, prof in self.vertex_entries if prof.tau_d)
+        """(point, tau_d) of the ``vertex_sites`` with tau_d != 0, read off
+        their masks: tau_d is the indicator's d-th mixed difference, so they
+        give the point set."""
+        (_at, codes, points), masks = self.vertex_sites, self.vertex_masks
+        tau = {c: orthant_counts(OrthantSet(self.dim, masks[c]))[1] for c in set(codes.tolist())}
+        return tuple((p, tau[c]) for p, c in zip(points, codes.tolist()) if tau[c])
 
 
 def _scan_for(P: IntegralOrthotope) -> _Scan:
@@ -900,7 +909,7 @@ def classify_point(P: IntegralOrthotope, point: Sequence) -> PointClass:
         cell = [side[(s >> j) & 1] for j, side in enumerate(sides)]
         if any(all(l <= c < h for l, c, h in zip(lo, cell, hi)) for lo, hi in near):
             mask |= 1 << s
-    prof = _mask_profile(P.dim, mask)
+    prof = _cone_profile(P.dim, mask)
     return PointClass(coords, OrthantSet(P.dim, mask), prof.essential, prof.degree, prof.floral)
 
 
@@ -922,9 +931,8 @@ def vertices(P: IntegralOrthotope) -> list:
     """All degree-0 half-lattice points with their recognition results.
     Points whose cone fails recognition are reported with ``floral`` set
     to the degenerate marker rather than suppressed."""
-    full_axes = tuple(range(1, P.dim + 1))
     return [
-        PointClass(point, OrthantSet(P.dim, mask), full_axes, 0, prof.floral)
+        PointClass(point, OrthantSet(P.dim, mask), prof.essential, prof.degree, prof.floral)
         for point, mask, prof in _scan_for(P).vertex_entries
     ]
 
@@ -1135,35 +1143,30 @@ def face_poset(P: IntegralOrthotope) -> FacePoset:
         return FacePoset((), frozenset())
     d, shape = P.dim, scan.shape
     keys, codes, masks = _full_runs(scan)
-    _check_budget(shape, _face_bytes(len(keys)))
+    labelling = _face_bytes(len(keys))
+    _check_budget(shape, labelling)
     exterior = masks.index(0)  # the padding puts exterior in every scan
     parent, odd, even = _run_regions(keys, codes, shape, exterior)
     roots = np.flatnonzero((parent == np.arange(len(keys))) & (codes != exterior))
     heads = np.stack(np.unravel_index(keys[roots], shape), axis=-1).tolist()
-    masks = [masks[c] for c in codes[roots].tolist()]
-    profs = [_mask_profile(d, m) for m in masks]
+    # one cone, profile and set of free axes per distinct mask of a region
+    used, kind = np.unique(codes[roots], return_inverse=True)
+    cones = [OrthantSet(d, masks[c]) for c in used.tolist()]
+    profs = [_cone_profile(d, cone.mask) for cone in cones]
+    frees = [tuple(a for a in range(1, d + 1) if a not in p.essential) for p in profs]
+    fixed_of = np.array([[a in p.essential for a in range(1, d + 1)] for p in profs], dtype=bool)
+    kind = kind.tolist()
     # Faces in order of dim, then representative point, which orders as its
     # grid index does: a coordinate grows strictly with its index.
-    order = sorted(range(len(roots)), key=lambda r: (d - len(profs[r].essential), heads[r]))
+    order = sorted(range(len(roots)), key=lambda r: (profs[kind[r]].degree, heads[r]))
     face = np.full(len(keys), -1)
     face[roots[order]] = np.arange(len(roots))
     face = face[parent]
-    a, b = face[odd], face[even]
-    hit = (a >= 0) & (b >= 0)
-    steps = sorted(set(zip(b[hit].tolist(), a[hit].tolist())))
-    del parent, odd, even, a, b, hit
-    # A step raises the face dimension, so in face order the faces below
-    # each face are closed before it: its closure holds theirs.
-    below = [set() for _ in order]
-    for b, a in steps:
-        below[b] |= below[a] | {a}
     run = np.flatnonzero(face >= 0)
     owner = face[run]
     start = np.stack(np.unravel_index(keys[run], shape), axis=-1)
     width = (_run_ends(keys, math.prod(shape)) - keys)[run]
-    fixed_axes = np.array(
-        [[a in p.essential for a in range(1, d + 1)] for p in profs], dtype=bool
-    )[order][owner]
+    fixed_axes = fixed_of[np.array(kind)[order]][owner]
     # a region stays at its head, one position wide, on each fixed axis
     moved = (start % 2 == 0) | (start != np.array(heads)[order][owner])
     moved[:, -1] |= width != 1
@@ -1172,6 +1175,7 @@ def face_poset(P: IntegralOrthotope) -> FacePoset:
     # A run in a row that is a slab interior on every free axis before the
     # last stands for the box of its slabs there, written on those axes.
     rows = np.flatnonzero(((start[:, :-1] % 2 == 0) | fixed_axes[:, :-1]).all(axis=1))
+    _check_budget(shape, labelling + _output_bytes(d, len(roots), len(rows)))
     rows = rows[np.argsort(owner[rows], kind="stable")]
     slab = start[rows] // 2
     past = slab + 1
@@ -1183,16 +1187,25 @@ def face_poset(P: IntegralOrthotope) -> FacePoset:
     bounds = np.searchsorted(owner[rows], np.arange(len(roots) + 1))
     if (np.diff(bounds) == 0).any():
         raise ConsistencyError("genericity region with no interior cell")
+    bounds = bounds.tolist()
+    del lo, hi, keep
+    a, b = face[odd], face[even]
+    hit = (a >= 0) & (b >= 0)
+    steps = sorted(set(zip(b[hit].tolist(), a[hit].tolist())))
+    del parent, odd, even, face, a, b, hit
+    # A step raises the face dimension, so in face order the faces below
+    # each face are closed before it: its closure holds theirs.
+    below = [set() for _ in order]
+    for b, a in steps:
+        below[b] |= below[a] | {a}
+    coords = [[scan.coordinate(j, r) for r in range(n)] for j, n in enumerate(shape)]
     faces = []
     for f, r in enumerate(order):
-        head, prof = heads[r], profs[r]
-        free = tuple(a for a in range(1, d + 1) if a not in prof.essential)
-        fixed = tuple(
-            (a, int(scan.edges[a - 1][(head[a - 1] + 1) // 2])) for a in prof.essential
-        )
-        rep = PointClass(
-            scan.point_of(head), OrthantSet(d, masks[r]), prof.essential, prof.degree, prof.floral
-        )
+        k = kind[r]
+        prof, free = profs[k], frees[k]
+        point = tuple(map(list.__getitem__, coords, heads[r]))
+        fixed = tuple((a, point[a - 1]) for a in prof.essential)
+        rep = PointClass(point, cones[k], prof.essential, prof.degree, prof.floral)
         faces.append(Face(len(free), free, fixed, tuple(boxes[bounds[f] : bounds[f + 1]]), rep))
     incidence = frozenset((a, b) for b, under in enumerate(below) for a in under)
     return FacePoset(tuple(faces), incidence)

@@ -7,11 +7,13 @@ public point classifier, and cross-agreement between independently derived
 methods (three volume routes, two Euler routes, the compressed scan
 versus a test-side full-resolution scan)."""
 
+import functools
 import itertools
 import json
 import math
 import operator
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -31,6 +33,7 @@ from orthotopes.arrangement import (
     SetOp,
     _axis_signs,
     _cofactor,
+    _half_space_mask,
     edge_direction,
     orthants_of,
 )
@@ -172,6 +175,18 @@ def test_from_boxes_rejects_degenerate_box():
         from_boxes(2, [((0, 0), (0, 1))])
     with pytest.raises(ValueError, match="arity"):
         from_boxes(2, [((0,), (1,))])
+    # each box is checked for arity, then degeneracy, then range, and the
+    # first failing box is reported
+    least = lattice._COORDINATE_RANGE[0]
+    for boxes, message in (
+        ([((0, 0), (1, 1)), ((0, 0, 0), (0, 1, 1))], r"^box 1 has wrong arity for dimension 2$"),
+        ([((0, 0), (1, 1)), ((least - 1, 0), (least - 1, 1))], r"^box 1 is degenerate"),
+        ([((least - 1, 0), (0, 1)), ((0, 0), (0, 1))], r"^box 0 has a coordinate outside"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            from_boxes(2, boxes)
+    with pytest.raises(ValueError, match=r"^cell \(0, 0, 0\) has wrong arity"):
+        from_cells(2, [(0, 0, 0), (least - 1, 0)])
     with pytest.raises(ValueError):
         from_boxes(0, [])
     with pytest.raises(ValueError):
@@ -420,7 +435,7 @@ def _reference_mu_sum(scan):
     count."""
     d = scan.dim
     inverse, masks = _full_grid(scan)
-    mu = np.array([lattice._mask_profile(d, m).mu_d for m in masks], dtype=object)
+    mu = np.array([lattice._class_profile(d, m).mu_d for m in masks], dtype=object)
     total = mu[inverse]
     for j in reversed(range(d)):
         w = np.ones(scan.shape[j], dtype=object)
@@ -463,11 +478,13 @@ def test_volume_and_cell_count_stay_exact_past_int64():
 def test_coordinates_the_scan_cannot_hold_are_refused():
     # the scan pads each axis by one unit in int64
     least, most = -(2**63) + 1, 2**63 - 2
+    outside = re.escape(f"box 0 has a coordinate outside [{least}, {most}]")
     for box in (((least - 1,), (0,)), ((0,), (most + 1,))):
-        with pytest.raises(ValueError, match="box 0 has a coordinate outside"):
+        with pytest.raises(ValueError, match=outside):
             from_boxes(1, [box])
+    outside = re.escape(f"has a coordinate outside [{least}, {most - 1}]")
     for cell in ((least - 1,), (most,)):
-        with pytest.raises(ValueError, match="has a coordinate outside"):
+        with pytest.raises(ValueError, match=outside):
             from_cells(1, [cell])
     widest = from_boxes(1, [((least,), (most,))])
     assert all(volume(widest, m) == most - least for m in VolumeMethod)
@@ -618,7 +635,7 @@ def _reference_skeleton(P):
     inessential, and join the vertex where the walk stops."""
     scan = lattice._require_generic(P)
     inverse, masks = _full_grid(scan)
-    profiles = [lattice._mask_profile(P.dim, m) for m in masks]
+    profiles = [lattice._class_profile(P.dim, m) for m in masks]
     keep = [i for i, prof in enumerate(profiles) if prof.degree == 0]
     sub = inverse[(slice(1, None, 2),) * P.dim]
     vertex_positions = 2 * np.argwhere(np.isin(sub, keep)) + 1
@@ -1312,7 +1329,7 @@ class _FullScan:
         return tuple(int(c) if c.denominator == 1 else c for c in half)
 
     def profile(self, idx):
-        return lattice._mask_profile(self.dim, int(self.masks[idx]))
+        return lattice._class_profile(self.dim, int(self.masks[idx]))
 
     def verdict(self):
         for idx in np.ndindex(self.masks.shape):
@@ -1436,7 +1453,7 @@ def _grid_face_poset(P):
     pos = np.stack(np.unravel_index(inside, labels.shape), axis=-1)
     heads = np.stack(np.unravel_index(roots, labels.shape), axis=-1).tolist()
     masks = [masks[c] for c in inverse.reshape(-1)[roots].tolist()]
-    profs = [lattice._mask_profile(d, m) for m in masks]
+    profs = [lattice._class_profile(d, m) for m in masks]
     fixed_axes = np.array(
         [[a in p.essential for a in range(1, d + 1)] for p in profs], dtype=bool
     )[owner]
@@ -1775,28 +1792,41 @@ def test_a_vertex_run_longer_than_one_point_is_refused(monkeypatch):
 
 
 def _assert_class_profile_is_direct(d, mask):
-    """For a mask with every axis essential, the profile the scan derives
-    from its sign class equals direct recognition, edge directions
-    included; returns that profile, or ``None`` for any other mask."""
+    """For a nonempty mask, the profile ``_mask_profile`` derives from its
+    sign class equals direct recognition of the mask itself in every field,
+    the diagram or cylinder included, and a vertex's edge directions are
+    those of its diagram; returns that profile."""
     signs = _axis_signs(d, mask)
-    if len(signs) < d:
-        return None
     neg = sum(1 << (a - 1) for a, s in signs.items() if s < 0)
     mixed = sum(1 << (a - 1) for a, s in signs.items() if s == 0)
-    derived = lattice._vertex_profile(d, mask, neg, mixed)
-    direct = lattice._mask_profile(d, mask)
-    assert derived == direct, (d, mask)
+    derived = lattice._mask_profile(d, mask, neg, mixed)
+    direct = lattice._class_profile(d, mask)
+    assert derived._asdict() == direct._asdict(), (d, mask)
     if direct.is_vertex:
         toward = tuple(edge_direction(direct.floral, a) for a in range(1, d + 1))
         assert derived.toward == toward, (d, mask)
     return direct
 
 
+def _face_cones_met(d, found):
+    """Assert that ``found``, nonempty masks with their profiles, holds
+    face cones with one and with two free axes wherever ``d`` leaves room
+    for an essential axis beside them: floral ones with a negative literal
+    and degenerate ones not unate in some axis."""
+    for free in (1, 2):
+        faces = {m: p for m, p in found.items() if p.degree == free}
+        floral = [p.floral for p in faces.values() if not p.degenerate]
+        assert (d > free) == any(isinstance(c, Cylinder) and c.diagram.neg for c in floral)
+        unate = {m: 0 not in _axis_signs(d, m).values() for m in faces}
+        assert (d > free + 1) == any(p.degenerate and not unate[m] for m, p in faces.items())
+
+
 def test_sign_class_profiles_match_direct_recognition_up_to_dimension_four():
     for d in range(1, 5):
-        found = {m: _assert_class_profile_is_direct(d, m) for m in range(1 << (1 << d))}
-        found = {m: prof for m, prof in found.items() if prof is not None}
-        assert all(prof.degree == 0 for prof in found.values())
+        found = {m: _assert_class_profile_is_direct(d, m) for m in range(1, 1 << (1 << d))}
+        assert {prof.degree for prof in found.values()} == set(range(d + 1))
+        _face_cones_met(d, found)
+        found = {m: prof for m, prof in found.items() if prof.degree == 0}
         # floral masks are met, from d = 2 masks not unate in some axis, and
         # from d = 3 unate ones that are not read-once, such as majority
         assert any(prof.is_vertex for prof in found.values())
@@ -1813,13 +1843,21 @@ def test_sign_class_profiles_match_direct_recognition_in_dimensions_5_to_8():
             for _ in range(12)
         ]
         masks += _oracle_masks(rng, d) + [rng.getrandbits(1 << d) for _ in range(4)]
-        found = [_assert_class_profile_is_direct(d, m) for m in masks]
-        vertices_met = [p for p in found if p is not None and p.is_vertex]
+        # cylinders over one or two free axes, floral and of a parity
+        for free in (1, 2):
+            labels = rng.sample(range(1, d + 1), d - free)
+            for _ in range(6):
+                masks.append(orthants_of(_random_signed(rng, labels), d).mask)
+            half = (_half_space_mask(d, a - 1, True) for a in labels)
+            masks.append(functools.reduce(operator.xor, half))
+        found = {m: _assert_class_profile_is_direct(d, m) for m in masks}
+        _face_cones_met(d, found)
+        vertices_met = [p for p in found.values() if p.degree == 0 and p.is_vertex]
         assert len(vertices_met) >= 12 and any(p.floral.neg for p in vertices_met)
         # a unate cone that is not read-once mirrors to a degenerate class
         assert any(
-            p is not None and p.degenerate and 0 not in _axis_signs(d, m).values()
-            for m, p in zip(masks, found)
+            p.degree == 0 and p.degenerate and 0 not in _axis_signs(d, m).values()
+            for m, p in found.items()
         ), d
 
 
@@ -1832,7 +1870,13 @@ def test_scan_recognizes_only_sign_class_representatives(monkeypatch):
         return original(orthants)
 
     monkeypatch.setattr(lattice, "_recognize", counting)
-    lattice._mask_profile.cache_clear()
+
+    def clear_caches():
+        lattice._mask_profile.cache_clear()
+        lattice._class_profile.cache_clear()
+        recognized.clear()
+
+    clear_caches()
     # the cube's 2^8 corners are one sign class, its positive orthant
     body, code = cli._report(unit_cube(8))
     assert code == 0 and body["census_by_class"] and len(recognized) == 1
@@ -1842,6 +1886,37 @@ def test_scan_recognizes_only_sign_class_representatives(monkeypatch):
     assert len(scan.profiles) < len(scan.vertex_masks)  # cylinders were met
     assert 0 < len(recognized) < len(scan.profiles)
     assert all(len(orthants.essential_axes()) == 5 for orthants in recognized)
+    # face_poset, its scan included, recognizes each sign class of its
+    # faces' cones once, on the monotone mirror of its members
+    for P in (random_generic(3, 6, 20, seed=2), random_generic(4, 4, 12, seed=1)):
+        clear_caches()
+        cones = {f.representative.cone for f in face_poset(P).faces}
+        classes = set()
+        for cone in cones:
+            signs = _axis_signs(P.dim, cone.mask)
+            mirror = [
+                tuple(-x if signs.get(a) == -1 else x for a, x in enumerate(m, 1))
+                for m in cone.members()
+            ]
+            classes.add(OrthantSet.from_signs(P.dim, mirror))
+        assert len(recognized) == len(set(recognized)) and set(recognized) == classes
+        assert len(classes) < len(cones)
+
+
+def test_equality_hash_and_cell_count_never_recognize(monkeypatch, q_solid):
+    def refuse(orthants):
+        raise AssertionError(f"recognized {orthants}")
+
+    monkeypatch.setattr(lattice, "_recognize", refuse)
+    lattice._mask_profile.cache_clear()
+    lattice._class_profile.cache_clear()
+    for model in (unit_cube(8), random_generic(3, 6, 20, seed=2), q_solid):
+        P, Q = (from_boxes(model.dim, model.boxes) for _ in range(2))
+        assert P == Q and hash(P) == hash(Q)
+        assert P != from_boxes(model.dim, model.boxes[1:] or [((0,) * model.dim, (2,) * model.dim)])
+        assert P.cell_count() == volume(P, VolumeMethod.VOXEL_COUNT) == len(model.cells)
+    with pytest.raises(AssertionError, match="recognized"):
+        check_generic(P)
 
 
 def test_scan_over_budget_raises_before_allocating(monkeypatch):
@@ -2101,6 +2176,51 @@ def test_face_poset_refuses_a_labelling_over_budget(monkeypatch):
         assert info.value.positions == math.prod(scan.shape)
         assert info.value.estimate == need and charges == steps[: k + 1]
         assert peak < peaks[-1] + 2048  # the refused step allocated only the error
+
+
+def test_face_poset_charges_its_output_before_building_it(monkeypatch):
+    # crossing stripes have 182,401 faces against about 33 MB of runs: a
+    # limit that admits every charge on runs refuses the faces, before the
+    # first Face is built
+    charges = {
+        name: _record_charges(monkeypatch, name)
+        for name in ("_first_bytes", "_run_bytes", "_face_bytes")
+    }
+    output, charge = [], lattice._output_bytes
+
+    class Counted(Exception):
+        pass
+
+    def count(*args):
+        output.append(charge(*args))
+        raise Counted
+
+    monkeypatch.setattr(lattice, "_output_bytes", count)
+    with pytest.raises(Counted):
+        face_poset(_crossing_stripes(150))
+    limit = max(max(c) for c in charges.values())
+    need = charges["_face_bytes"][-1] + output[0]
+    assert need > limit
+
+    def refuse(*_args):
+        raise AssertionError("a Face was built over budget")
+
+    monkeypatch.setattr(lattice, "_output_bytes", charge)
+    monkeypatch.setattr(lattice, "Face", refuse)
+    monkeypatch.setattr(lattice, "_SCAN_BYTE_LIMIT", limit)
+    with pytest.raises(lattice.ScanTooLargeError) as info:
+        face_poset(_crossing_stripes(150))
+    assert info.value.estimate == need
+    monkeypatch.undo()
+    # with its run tables the charge covers the traced peak: 0.47 to 0.87
+    # of it on these models
+    labelling = _record_charges(monkeypatch, "_face_bytes")
+    output = _record_charges(monkeypatch, "_output_bytes")
+    for args in ((2, 300, 1210, 1), (3, 10, 50, 1), (4, 6, 34, 1), (5, 3, 9, 1)):
+        P = random_generic(*args)
+        lattice._scan_for(P).profiles
+        _faces, peak = _traced_peak(face_poset, P)
+        assert peak <= labelling[-1] + output[-1], args
 
 
 def test_cubical_euler_peak_stays_under_the_scan_estimate():
