@@ -85,7 +85,8 @@ _OCCUPANCY_CHUNK = 4096
 
 # A scan whose estimated peak passes this many bytes is refused with
 # ``ScanTooLargeError``: on its slabs (``_first_bytes``) before anything is
-# allocated, and on its runs (``_run_bytes``) before each pass.
+# allocated and again once the occupancy's runs are counted, and on its
+# runs (``_run_bytes``) before each axis pass.
 _SCAN_BYTE_LIMIT = 4 << 30
 _MASK_BIT_LIMIT = 1 << 29  # see ``_Scan``; the d=14 cube's 2^28 took 2.7 s on 2 cores
 
@@ -338,14 +339,18 @@ def _validate_header(dim, scale):
 def from_boxes(dim: int, boxes: Iterable, scale: int = 1) -> IntegralOrthotope:
     """Build the union of axis-aligned integer boxes ``[lo, hi)`` given as
     (lo, hi) corner pairs.  Every box must be proper (lo < hi on each
-    axis) with its coordinates in ``_COORDINATE_RANGE``; overlaps and
-    duplicates are allowed and merge silently.  An empty list yields the
-    empty orthotope."""
+    axis) with integer coordinates (``operator.index``: a float, string or
+    ``Fraction`` is refused, not truncated) in ``_COORDINATE_RANGE``;
+    overlaps and duplicates are allowed and merge silently.  An empty list
+    yields the empty orthotope."""
     _validate_header(dim, scale)
     least, most = _COORDINATE_RANGE
     clean = set()
     for k, (lo, hi) in enumerate(boxes):
-        lo, hi = tuple(map(int, lo)), tuple(map(int, hi))
+        try:
+            lo, hi = tuple(map(operator.index, lo)), tuple(map(operator.index, hi))
+        except TypeError:
+            raise ValueError(f"box {k} has a non-integer coordinate: {lo!r} .. {hi!r}") from None
         if len(lo) != dim or len(hi) != dim:
             raise ValueError(f"box {k} has wrong arity for dimension {dim}")
         if not all(map(operator.lt, lo, hi)):
@@ -363,7 +368,10 @@ def from_cells(dim: int, cells: Iterable, scale: int = 1) -> IntegralOrthotope:
     least, most = _COORDINATE_RANGE
     cleaned = set()
     for cell in cells:
-        cell = tuple(map(int, cell))
+        try:
+            cell = tuple(map(operator.index, cell))
+        except TypeError:
+            raise ValueError(f"cell {cell!r} has a non-integer coordinate") from None
         if len(cell) != dim:
             raise ValueError(f"cell {cell} has wrong arity for dimension {dim}")
         if min(cell) < least or max(cell) >= most:
@@ -429,11 +437,12 @@ def _mask_profile(dim: int, mask: int, negative: int, mixed: int) -> _MaskProfil
     bitmasks of its signs (see ``_pair_codes``).  A cone not unate in some
     essential axis is degenerate.  Mirroring every negative axis of another
     gives the monotone representative of its sign class, recognized once
-    per class: the cone keeps its shape, axes, class and bouquet sign, with
-    literal and edge direction negated on mirrored axes, and its own mu_d
-    and tau_d, read off the mask."""
-    mu_d, tau_d = orthant_counts(OrthantSet(dim, mask))
+    per class: the cone keeps its shape, axes, class, bouquet sign and
+    mu_d, with literal and edge direction negated on mirrored axes, and
+    tau_d negated once per mirrored axis, which flips every orthant's
+    sign."""
     if mixed:
+        mu_d, tau_d = orthant_counts(OrthantSet(dim, mask))
         essential = tuple(_axis_signs(dim, mask))
         degree = dim - len(essential)
         return _MaskProfile(mu_d, tau_d, essential, degree, DEGENERATE, True, False, None, 0, None)
@@ -443,6 +452,7 @@ def _mask_profile(dim: int, mask: int, negative: int, mixed: int) -> _MaskProfil
         step, hi = 1 << (a - 1), _half_space_mask(dim, a - 1, True)
         rep = ((rep & hi) >> step) | ((rep << step) & hi)
     rep = _class_profile(dim, rep)
+    tau_d = rep.tau_d * (-1) ** len(neg)
     if not neg or rep.degenerate:
         return rep._replace(tau_d=tau_d)
     diagram = SignedSpd(getattr(rep.floral, "diagram", rep.floral).shape, neg)
@@ -490,12 +500,14 @@ def _occupancy(P: IntegralOrthotope, edges) -> np.ndarray:
 
 
 def _first_bytes(slabs: int, runs: int, boxes: int) -> int:
-    """Estimated peak bytes of the scan up to its run passes: two bytes per
-    slab, the occupancy and then the first pass's pair codes, or those
-    codes and their run starts (see ``_first_pass``), 20 per run, and 1 KiB
-    per box of a chunk that ``_occupancy`` converts (410 bytes were
-    measured at d=2 and 770 at d=12)."""
-    return 2 * slabs + 20 * runs + 1024 * min(boxes, _OCCUPANCY_CHUNK) + (1 << 16)
+    """Estimated peak bytes of the scan up to its run passes, which never
+    holds its two phases at once: a byte per slab of the occupancy, and
+    either 1 KiB per box of a chunk that ``_occupancy`` converts (280 to
+    730 bytes were measured at d = 2..5 and 770 at d=12), or the
+    occupancy's run starts, a byte per slab, and its runs, 20 bytes each
+    (see ``_occupancy_runs``; 9 to 11 were measured)."""
+    chunk = 1024 * min(boxes, _OCCUPANCY_CHUNK)
+    return slabs + max(slabs + 20 * runs, chunk) + (1 << 16)
 
 
 def _run_bytes(runs: int, masks: int) -> int:
@@ -601,25 +613,18 @@ def _pair_codes(pair: np.ndarray, table: list, j: int):
     return out, entries
 
 
-def _first_pass(P: IntegralOrthotope, edges, shape: tuple):
-    """The pass on axis 0, dense on the slab occupancy of ``P``, its codes
-    those of the empty and the full cell, read off as runs along the last
-    axis, charged once counted and numbered as ``_pair_rows`` numbers them.
-    The occupancy is dropped once the pair codes are formed in place, so
-    the pass holds two bytes per slab at a time (see ``_first_bytes``)."""
-    occ = _occupancy(P, edges).view(np.int8)
-    pair = occ[1:] * 2
-    pair += occ[:-1]
-    del occ
-    rows = pair.reshape(-1, pair.shape[-1])
-    start = np.empty(rows.shape, dtype=bool)
-    start[:, 0] = True
-    np.not_equal(rows[:, 1:], rows[:, :-1], out=start[:, 1:])
-    slabs = math.prod(len(e) - 1 for e in edges)
-    _check_budget(shape, _first_bytes(slabs, np.count_nonzero(start), 0))
-    keys = start.reshape(-1).nonzero()[0]
-    out, table = _pair_codes(rows.reshape(-1)[keys], [(0, 0, 0, 0), (1, 0, 0, 0)], 0)
-    return keys, out, table
+def _occupancy_runs(P: IntegralOrthotope, edges, shape: tuple):
+    """The maximal runs of the slab occupancy of ``P`` along the last axis,
+    in the form of ``vertex_runs``: code 0 for the empty cell and 1 for the
+    full one.  The runs are charged once counted (see ``_first_bytes``),
+    and the occupancy is dropped on return."""
+    occ = _occupancy(P, edges).view(np.int8).reshape(-1)
+    start = np.empty(len(occ), dtype=bool)
+    np.not_equal(occ[1:], occ[:-1], out=start[1:])  # flat, so numpy needs no buffer
+    start[:: len(edges[-1]) - 1] = True
+    _check_budget(shape, _first_bytes(len(occ), np.count_nonzero(start), 0))
+    keys = start.nonzero()[0]
+    return keys, occ[keys]
 
 
 def _row_pairs(keys: np.ndarray, size: int, step: int):
@@ -654,14 +659,15 @@ def _row_pairs(keys: np.ndarray, size: int, step: int):
 
 def _pair_rows(keys: np.ndarray, codes: np.ndarray, size: int, step: int, table, j):
     """One axis pass of the vertex scan on an axis j before the last, on
-    runs (see ``_Scan``) over ``size`` flat positions.  Rows keep their
-    numbering: position f, between lo slab f and hi slab f + ``step``,
-    becomes the edge after the lo slab, for f < size - step.  A row whose
-    index is the last slab of a paired axis, or of axis j, pairs padding
-    with padding, code 0 with code 0, as the first slab of every row does
-    (see ``_pair_last``).  An edge row changes only where one of its two
-    slab rows does, so its runs are the stretches of ``_row_pairs`` and
-    stay maximal."""
+    runs (see ``_Scan``) over ``size`` flat positions; on axis 0 these are
+    the occupancy's runs (``_occupancy_runs``), coded into the table of the
+    empty and the full cell.  Rows keep their numbering: position f,
+    between lo slab f and hi slab f + ``step``, becomes the edge after the
+    lo slab, for f < size - step.  A row whose index is the last slab of a
+    paired axis, or of axis j, pairs padding with padding, code 0 with code
+    0, as the first slab of every row does (see ``_pair_last``).  An edge
+    row changes only where one of its two slab rows does, so its runs are
+    the stretches of ``_row_pairs`` and stay maximal."""
     merged, lower, upper = _row_pairs(keys, size, step)
     pair = codes[upper].astype(np.intp)
     del upper
@@ -722,22 +728,24 @@ class _Scan:
     The scan composes the codes of the vertex grid, the all-odd positions,
     as runs along the last axis: ``vertex_runs`` holds the C-order flat
     index of the first position of each maximal run, the first of every
-    row included, and the run's code into ``vertex_masks``.  It pairs axis
-    0 densely on the slab occupancy, read once and dropped as its pair
-    codes are formed, charged with that pass (see ``_first_bytes``) before
-    it is allocated, then
-    one axis at a time, as Bentley's sweep for Klee's measure problem keeps
-    its cross-sections: on an axis before the last, each row pairs with the
-    row after it by merging their run starts (see ``_pair_rows``); on the
-    last axis, each run with its successor (see ``_pair_last``).  Each pass
-    hash-conses its pairs and carries their axis signs, ``vertex_signs``
-    (see ``_pair_codes``), so the codes are those of a dense pass; a run
-    pass's work and memory grow with the runs, which change only at the
-    boundary, not with the grid's volume, and it is checked against the
-    budget on its runs before it allocates (see ``_run_bytes``).  The runs
-    decide the verdict and give every vertex: a slab interior's cone is the
-    cylinder over a one-sided cross-section of the cone at the edge beside
-    it, and cross-sections of floral cones are floral.  For the same reason
+    row included, and the run's code into ``vertex_masks``.  It starts from
+    the maximal runs of the slab occupancy along the last axis, coded 0 for
+    the empty and 1 for the full cell, the occupancy charged before it is
+    allocated and dropped once its runs are read (see ``_occupancy_runs``
+    and ``_first_bytes``), and pairs them one axis at a time, as Bentley's
+    sweep for Klee's measure problem keeps its cross-sections: on each axis
+    before the last, axis 0 included, each row pairs with the row after it
+    by merging their run starts (see ``_pair_rows``); on the last axis,
+    each run with its successor (see ``_pair_last``), at d=1 the
+    occupancy's runs themselves.  Each pass hash-conses its pairs and
+    carries their axis signs, ``vertex_signs`` (see ``_pair_codes``), so
+    the codes are those of a dense pass; a run pass's work and memory grow
+    with the runs, which change only at the boundary, not with the grid's
+    volume, and it is checked against the budget on its runs before it
+    allocates (see ``_run_bytes``).  The runs decide the verdict and give
+    every vertex: a slab interior's cone is the cylinder over a one-sided
+    cross-section of the cone at the edge beside it, and cross-sections of
+    floral cones are floral.  For the same reason
     a degenerate cylinder forces a degenerate cone with every axis
     essential, so only those, ``all_essential`` as read off the carried
     signs, are recognized, by ``profiles`` once per sign class when asked
@@ -758,19 +766,17 @@ class _Scan:
         slabs = tuple(len(e) - 1 for e in self.edges)
         if P.boxes and 4**self.dim > _MASK_BIT_LIMIT:
             raise ScanTooLargeError(math.prod(self.shape), 4**self.dim, "mask bits")
-        size = math.prod(slabs)
+        size = step = math.prod(slabs)
         _check_budget(self.shape, _first_bytes(size, 0, len(P.boxes)))
-        keys, codes, table = _first_pass(P, self.edges, self.shape)
-        step = size // slabs[0]
-        size -= step
-        for j, n in enumerate(slabs[1:-1], 1):
+        keys, codes = _occupancy_runs(P, self.edges, self.shape)
+        table = [(0, 0, 0, 0), (1, 0, 0, 0)]
+        for j, n in enumerate(slabs[:-1]):
             _check_budget(self.shape, _run_bytes(len(keys), len(table)))
             step //= n
             keys, codes, table = _pair_rows(keys, codes, size, step, table, j)
             size -= step
-        if self.dim > 1:
-            _check_budget(self.shape, _run_bytes(len(keys), len(table)))
-            keys, codes, table = _pair_last(keys, codes, size, slabs, table)
+        _check_budget(self.shape, _run_bytes(len(keys), len(table)))
+        keys, codes, table = _pair_last(keys, codes, size, slabs, table)
         self.vertex_runs = keys, codes
         self.vertex_masks = [entry[0] for entry in table]
         self.vertex_signs = [entry[1:] for entry in table]
@@ -1216,10 +1222,18 @@ def cross_section(P: IntegralOrthotope, axes_values: Mapping) -> IntegralOrthoto
     half-lattice values, identifying the result with the lower-dimensional
     lattice by dropping the fixed coordinates.  Half-integer values cut
     through cell interiors; integer values take the union of the two
-    adjacent cell layers, which matches slicing the closed point set."""
+    adjacent cell layers, which matches slicing the closed point set.  An
+    axis that is not an integer (``operator.index``) is refused."""
     if not axes_values:
         return P
-    items = sorted(((int(a), _half(v)) for a, v in axes_values.items()), reverse=True)
+    items = []
+    for a, v in axes_values.items():
+        try:
+            a = operator.index(a)
+        except TypeError:
+            raise ValueError(f"axis {a!r} is not an integer") from None
+        items.append((a, _half(v)))
+    items.sort(reverse=True)
     seen = set()
     for a, _v in items:
         if a < 1 or a > P.dim:

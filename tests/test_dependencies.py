@@ -219,9 +219,9 @@ def _callers(tree: ast.AST, name: str) -> set:
 
 
 def test_only_the_scan_and_the_cubical_oracle_build_an_occupancy():
-    # one dense slab occupancy per model: the scan's, built by its first
-    # pass and dropped once its pair codes are formed, and the cubical
-    # Euler oracle's own; no scan keeps one
+    # one dense slab occupancy per model: the scan's, read off as its runs
+    # along the last axis and dropped once they are, and the cubical Euler
+    # oracle's own; no scan keeps one
     callers, kept = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -231,7 +231,7 @@ def test_only_the_scan_and_the_cubical_oracle_build_an_occupancy():
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "occ"
         ]
-    assert callers == {"lattice._first_pass", "lattice.euler"}
+    assert callers == {"lattice._occupancy_runs", "lattice.euler"}
     assert kept == []
 
 

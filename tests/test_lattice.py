@@ -193,6 +193,29 @@ def test_from_boxes_rejects_degenerate_box():
         from_boxes(2, [], scale=0)
 
 
+def test_non_integer_coordinates_are_refused_not_truncated(torus):
+    # a float, a string or a Fraction would have been cut down by int();
+    # numpy integers are integers, and bools the ints they are
+    for bad in (0.5, "0", Fraction(3, 2)):
+        with pytest.raises(ValueError, match=r"^box 1 has a non-integer coordinate"):
+            from_boxes(1, [((0,), (1,)), ((bad,), (2,))])
+        with pytest.raises(ValueError, match=r"^box 0 has a non-integer coordinate"):
+            from_boxes(2, [((0, 0), (1, bad))])
+        with pytest.raises(ValueError, match=r"^cell .* has a non-integer coordinate$"):
+            from_cells(2, [(0, 0), (bad, 0)])
+        with pytest.raises(ValueError, match=r"^axis .* is not an integer$"):
+            cross_section(torus, {bad: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="non-integer"):
+        from_boxes(1, [((0.0,), (2.9,))])  # an integral float as well
+    wide = from_boxes(2, [((np.int64(0), np.int32(0)), (np.int64(2), np.int16(3)))])
+    assert wide.boxes == (((0, 0), (2, 3)),)
+    assert all(type(c) is int for corner in wide.boxes[0] for c in corner)
+    assert from_cells(2, [np.array([1, 2])]).boxes == (((1, 2), (2, 3)),)
+    assert from_boxes(1, [((False,), (True,))]).boxes == (((0,), (1,)),)
+    section = cross_section(torus, {np.int64(3): Fraction(1, 2)})
+    assert section == cross_section(torus, {3: Fraction(1, 2)})
+
+
 def test_cells_and_boxes_views_agree():
     P = from_boxes(2, [((0, 0), (2, 1))])
     Q = from_cells(2, [(0, 0), (1, 0)])
@@ -1773,6 +1796,19 @@ def test_run_scan_matches_dense_passes_on_cubes_and_generic_unions():
     models = [unit_cube(d) for d in range(1, 11)]
     models += [from_boxes(d, []) for d in (1, 2, 3)]
     models += [random_generic(d, n, 4 * n + 10, 1) for d, n in ((2, 300), (3, 30), (4, 6), (5, 3))]
+    # boxes at both ends of the coordinate range, where the padded edges
+    # reach the ends of int64: touching at the low end, overlapping at the
+    # high end, and spanning the whole range
+    a, b = lattice._COORDINATE_RANGE
+    models += [
+        from_boxes(1, [((a,), (a + 2,)), ((a + 2,), (a + 5,))]),
+        from_boxes(1, [((a,), (a + 2,)), ((b - 5,), (b - 1,)), ((b - 3,), (b,))]),
+        from_boxes(1, [((a,), (b,)), ((a + 1,), (a + 3,)), ((b - 1,), (b,))]),
+        from_boxes(2, [((a, a), (a + 2, a + 3)), ((a + 2, a + 1), (a + 4, a + 2))]),
+        from_boxes(2, [((a, a), (a + 2, a + 2)), ((a + 2, a + 2), (a + 3, a + 4))]),
+        from_boxes(2, [((b - 4, b - 4), (b, b - 1)), ((b - 3, b - 2), (b - 1, b))]),
+        from_boxes(2, [((a, 0), (b, 2)), ((0, a), (1, b)), ((b - 2, b - 3), (b, b))]),
+    ]
     for P in models:
         _assert_runs_match_dense_passes(P)
 
@@ -2038,9 +2074,9 @@ def _face_runs(scan):
 
 def test_scan_peak_matches_its_estimate(monkeypatch):
     # the run scan, all that a generic analyze builds, is charged on its
-    # occupancy and first pass, then on its runs before each pass; it
-    # peaked at 0.78, 0.88 and 0.87 of its largest charge on these models,
-    # and under 0.3 of what composing the dense full grid needed
+    # occupancy and the occupancy's runs, then on its runs before each
+    # pass; it peaked at 0.94, 0.88 and 0.87 of its largest charge on these
+    # models, and under 0.3 of what composing the dense full grid needed
     runs = _record_charges(monkeypatch)
     first = _record_charges(monkeypatch, "_first_bytes")
     for args in ((2, 300, 1210, 1), (3, 30, 130, 1), (4, 6, 34, 1)):
