@@ -31,7 +31,6 @@ _EXPORTS = {
     "Leaf": "spd",
     "NotGenericError": "lattice",
     "OrthantSet": "arrangement",
-    "PadSchedule": "genericize",
     "Parallel": "spd",
     "ParseError": "spd",
     "PointClass": "lattice",

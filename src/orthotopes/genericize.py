@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,7 +32,6 @@ import numpy as np
 from .lattice import ConsistencyError, IntegralOrthotope, _rescaled_boxes, from_boxes
 
 __all__ = [
-    "PadSchedule",
     "distance_to_faces",
     "face_box",
     "hausdorff_distance",
@@ -47,29 +45,6 @@ _MAX_SCALE_LOG = 32
 # The distance search compares source boxes with every target box in
 # chunks of at most this many coordinates.
 _PAIR_CHUNK = 1 << 18
-
-
-@dataclass(frozen=True)
-class PadSchedule:
-    """Padding plan for a thickening: one positive rational pad per box
-    side, all resulting supporting-hyperplane coordinates distinct per
-    axis.  ``pads[i][j]`` is the (low, high) pad pair of face i on axis
-    j + 1, in true units; ``scale`` clears all denominators."""
-
-    scale: int
-    pads: tuple
-
-    def validate(self, dim: int, faces: Sequence) -> None:
-        padded = []
-        for (v, spec), sides in zip(faces, self.pads):
-            lo, hi = face_box(v, spec)
-            padded.append(
-                (
-                    [Fraction(c) - pad for c, (pad, _) in zip(lo, sides)],
-                    [Fraction(c) + pad for c, (_, pad) in zip(hi, sides)],
-                )
-            )
-        _check_supports(dim, padded)
 
 
 def face_box(corner: Sequence[int], spec: Sequence) -> tuple:
@@ -132,16 +107,6 @@ def _pad_ranks(dim: int, boxes: Sequence, bound: Fraction) -> tuple:
             f"bound {bound} requires pads finer than 2**-{_MAX_SCALE_LOG}"
         )
     return scale, ranks
-
-
-def _pad_schedule(dim: int, faces: Sequence, bound: Fraction) -> PadSchedule:
-    """The pads ``thicken`` gives the faces, as a schedule in true units."""
-    scale, ranks = _pad_ranks(dim, [face_box(v, spec) for v, spec in faces], bound)
-    pads = tuple(
-        tuple((Fraction(klo, scale), Fraction(khi, scale)) for klo, khi in per_axis)
-        for per_axis in ranks
-    )
-    return PadSchedule(scale, pads)
 
 
 def thicken(dim: int, faces: Sequence, bound) -> IntegralOrthotope:

@@ -39,7 +39,6 @@ from .arrangement import (
     _recognize,
     edge_direction,
     orthant_counts,
-    orthants_of,
 )
 from .spd import SignedSpd, bouquet, canonical_key
 
@@ -452,15 +451,17 @@ def _mask_profile(dim: int, mask: int, negative: int, mixed: int) -> _MaskProfil
         step, hi = 1 << (a - 1), _half_space_mask(dim, a - 1, True)
         rep = ((rep & hi) >> step) | ((rep << step) & hi)
     rep = _class_profile(dim, rep)
-    tau_d = rep.tau_d * (-1) ** len(neg)
-    if not neg or rep.degenerate:
-        return rep._replace(tau_d=tau_d)
-    diagram = SignedSpd(getattr(rep.floral, "diagram", rep.floral).shape, neg)
-    if orthants_of(diagram, dim).mask != mask:
-        raise ConsistencyError(f"sign class of mask {mask:#x} does not evaluate back")
-    toward = rep.toward and tuple(-t if a in neg else t for a, t in enumerate(rep.toward, 1))
-    floral = replace(rep.floral, diagram=diagram) if rep.degree else diagram
-    return rep._replace(tau_d=tau_d, floral=floral, toward=toward)
+    if not neg:
+        return rep
+    floral, toward = rep.floral, rep.toward
+    if not rep.degenerate:
+        diagram = SignedSpd(getattr(floral, "diagram", floral).shape, neg)
+        floral = replace(floral, diagram=diagram) if rep.degree else diagram
+        toward = toward and tuple(-t if a in neg else t for a, t in enumerate(toward, 1))
+    return _MaskProfile(
+        rep.mu_d, rep.tau_d * (-1) ** len(neg), rep.essential, rep.degree, floral,
+        rep.degenerate, rep.is_vertex, rep.class_key, rep.sigma, toward,
+    )
 
 
 def _cone_profile(dim: int, mask: int) -> _MaskProfile:
@@ -510,17 +511,24 @@ def _first_bytes(slabs: int, runs: int, boxes: int) -> int:
     return slabs + max(slabs + 20 * runs, chunk) + (1 << 16)
 
 
-def _run_bytes(runs: int, masks: int) -> int:
-    """Estimated peak bytes of one axis pass of the run scan over ``runs``
-    runs coded into ``masks`` masks.  Per run it holds the run's start and
-    code and, for up to two pairs per run, their positions, sides and
-    codes: at most 110 bytes per run were measured with ``_hash_cons``'s
-    presence table, which adds 5 bytes per possible pair, and 170 with
-    ``np.unique``."""
-    pairs = masks * masks
+def _run_bytes(keys: np.ndarray, step: int, masks: int) -> int:
+    """Estimated peak bytes of one axis pass of the run scan (``_pair_rows``)
+    over the runs starting at ``keys``, coded into ``masks`` masks, each row
+    pairing with the one ``step`` positions after it.  It holds each run's
+    start and code, and each stretch's position, sides and pair code, a
+    stretch being a span over which neither paired row's run changes.  A
+    stretch starts at a start of either row, and two consecutive starts
+    ``step`` apart are one start both rows share, so 2 * runs less their
+    count bounds the stretches; on the last axis, where step is 1, exactly.
+    No one rate per run fits: the stretches per run range from 1 to 2.
+    Per run and per stretch 29 to 34 bytes were measured with
+    ``_hash_cons``'s presence table, which adds 5 bytes per possible pair,
+    and 32 to 41 with ``np.unique``."""
+    runs, pairs = len(keys), masks * masks
+    stretches = 2 * runs - np.count_nonzero(np.diff(keys) == step)
     if pairs > _PAIR_TABLE_LIMIT:
-        return 176 * runs
-    return 120 * runs + 5 * pairs
+        return 44 * (runs + stretches)
+    return 40 * (runs + stretches) + 5 * pairs
 
 
 def _check_budget(shape: tuple, estimate: int) -> None:
@@ -657,59 +665,31 @@ def _row_pairs(keys: np.ndarray, size: int, step: int):
     return merged, lower, at
 
 
-def _pair_rows(keys: np.ndarray, codes: np.ndarray, size: int, step: int, table, j):
-    """One axis pass of the vertex scan on an axis j before the last, on
-    runs (see ``_Scan``) over ``size`` flat positions; on axis 0 these are
-    the occupancy's runs (``_occupancy_runs``), coded into the table of the
-    empty and the full cell.  Rows keep their numbering: position f,
-    between lo slab f and hi slab f + ``step``, becomes the edge after the
-    lo slab, for f < size - step.  A row whose index is the last slab of a
-    paired axis, or of axis j, pairs padding with padding, code 0 with code
-    0, as the first slab of every row does (see ``_pair_last``).  An edge
-    row changes only where one of its two slab rows does, so its runs are
-    the stretches of ``_row_pairs`` and stay maximal."""
+def _pair_rows(keys: np.ndarray, codes: np.ndarray, size: int, n: int, step: int, table, j):
+    """One axis pass of the vertex scan on axis j, on runs (see ``_Scan``)
+    over ``size`` flat positions, axis j having ``n`` slabs and ``step``
+    positions per slab; on axis 0 these are the occupancy's runs
+    (``_occupancy_runs``), coded into the table of the empty and the full
+    cell.  Position f, between lo slab f and hi slab f + ``step``, becomes
+    the edge after the lo slab.  Where the lo slab is the last of axis j the
+    position pairs padding with the next block's padding; it is dropped and
+    the rest numbered in a grid with n - 1 edges on axis j, as the dense
+    pass numbers them, so the last axis's pass leaves vertex-grid indices.
+    An edge row changes only where one of its two slab rows does, so its
+    runs are the stretches of ``_row_pairs`` and stay maximal."""
     merged, lower, upper = _row_pairs(keys, size, step)
-    pair = codes[upper].astype(np.intp)
+    outer = merged // (n * step)
+    merged -= outer * step
+    keep = (merged // ((n - 1) * step) == outer).nonzero()[0]
+    del outer
+    merged = merged[keep]
+    pair = codes[upper[keep]].astype(np.intp)
     del upper
     pair *= len(table)
-    pair += codes[lower]
-    del lower
+    pair += codes[lower[keep]]
+    del lower, keep
     out, table = _pair_codes(pair, table, j)
     return merged, out, table
-
-
-def _pair_last(keys: np.ndarray, codes: np.ndarray, size: int, shape: tuple, table):
-    """The last axis pass of the vertex scan, on runs over ``size`` flat
-    positions of the slab grid of ``shape``, every axis but the last
-    already paired.  A row whose index on a paired axis is its last slab
-    paired padding with padding; it is dropped, and the others numbered
-    as in the vertex grid.  Along a row, the edges inside a run of code c
-    get the pair (c, c), and the edge after it (next, c), which differs
-    from both of its neighbours."""
-    width, rows = shape[-1], shape[:-1]
-    vertex_row = np.full(rows, -1)
-    vertex_row[tuple(slice(n - 1) for n in rows)] = np.arange(
-        math.prod(n - 1 for n in rows)
-    ).reshape([n - 1 for n in rows])
-    vertex_row = vertex_row.reshape(-1)
-    row = keys // width
-    ends = _run_ends(keys, size)
-    # from slab-grid to vertex-grid positions along each run's row
-    shift = (vertex_row * (width - 1) - np.arange(len(vertex_row)) * width)[row]
-    used = np.empty(2 * len(keys), dtype=bool)
-    used[0::2] = (ends - keys > 1) & (vertex_row[row] >= 0)
-    used[1:-1:2] = row[1:] == row[:-1]
-    used[-1] = False
-    at = np.empty(2 * len(keys), dtype=np.intp)
-    np.add(keys, shift, out=at[0::2])
-    np.add(ends - 1, shift, out=at[1::2])
-    code = codes.astype(np.intp)
-    pair = np.empty(2 * len(keys), dtype=np.intp)
-    np.multiply(code, len(table) + 1, out=pair[0::2])
-    pair[1:-1:2] = code[1:] * len(table) + code[:-1]
-    used = used.nonzero()[0]
-    out, table = _pair_codes(pair[used], table, len(shape) - 1)
-    return at[used], out, table
 
 
 class _Scan:
@@ -733,11 +713,11 @@ class _Scan:
     the empty and 1 for the full cell, the occupancy charged before it is
     allocated and dropped once its runs are read (see ``_occupancy_runs``
     and ``_first_bytes``), and pairs them one axis at a time, as Bentley's
-    sweep for Klee's measure problem keeps its cross-sections: on each axis
-    before the last, axis 0 included, each row pairs with the row after it
-    by merging their run starts (see ``_pair_rows``); on the last axis,
-    each run with its successor (see ``_pair_last``), at d=1 the
-    occupancy's runs themselves.  Each pass hash-conses its pairs and
+    sweep for Klee's measure problem keeps its cross-sections: on every
+    axis each row pairs with the row one slab after it by merging their run
+    starts, and drops the positions that pair padding with padding, so each
+    pass numbers its grid as a dense pass does and the last one leaves the
+    vertex grid (see ``_pair_rows``).  Each pass hash-conses its pairs and
     carries their axis signs, ``vertex_signs`` (see ``_pair_codes``), so
     the codes are those of a dense pass; a run pass's work and memory grow
     with the runs, which change only at the boundary, not with the grid's
@@ -770,13 +750,11 @@ class _Scan:
         _check_budget(self.shape, _first_bytes(size, 0, len(P.boxes)))
         keys, codes = _occupancy_runs(P, self.edges, self.shape)
         table = [(0, 0, 0, 0), (1, 0, 0, 0)]
-        for j, n in enumerate(slabs[:-1]):
-            _check_budget(self.shape, _run_bytes(len(keys), len(table)))
+        for j, n in enumerate(slabs):
             step //= n
-            keys, codes, table = _pair_rows(keys, codes, size, step, table, j)
-            size -= step
-        _check_budget(self.shape, _run_bytes(len(keys), len(table)))
-        keys, codes, table = _pair_last(keys, codes, size, slabs, table)
+            _check_budget(self.shape, _run_bytes(keys, step, len(table)))
+            keys, codes, table = _pair_rows(keys, codes, size, n, step, table, j)
+            size -= size // n
         self.vertex_runs = keys, codes
         self.vertex_masks = [entry[0] for entry in table]
         self.vertex_signs = [entry[1:] for entry in table]

@@ -2,15 +2,17 @@
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from orthotopes import genericize
 from orthotopes.genericize import (
-    PadSchedule,
-    _pad_schedule,
+    _check_supports,
+    _pad_ranks,
     distance_to_faces,
     face_box,
     hausdorff_distance,
@@ -28,6 +30,39 @@ from orthotopes.lattice import (
     sigma_sum,
     vertex_census,
 )
+
+
+@dataclass(frozen=True)
+class PadSchedule:
+    """Oracle of the padding ``thicken`` chooses: one positive rational
+    pad per box side, all resulting supporting-hyperplane coordinates
+    distinct per axis.  ``pads[i][j]`` is the (low, high) pad pair of face i on axis
+    j + 1, in true units; ``scale`` clears all denominators."""
+
+    scale: int
+    pads: tuple
+
+    def validate(self, dim: int, faces: Sequence) -> None:
+        padded = []
+        for (v, spec), sides in zip(faces, self.pads):
+            lo, hi = face_box(v, spec)
+            padded.append(
+                (
+                    [Fraction(c) - pad for c, (pad, _) in zip(lo, sides)],
+                    [Fraction(c) + pad for c, (_, pad) in zip(hi, sides)],
+                )
+            )
+        _check_supports(dim, padded)
+
+
+def _pad_schedule(dim: int, faces: Sequence, bound: Fraction) -> PadSchedule:
+    """The pads ``thicken`` gives the faces, as a schedule in true units."""
+    scale, ranks = _pad_ranks(dim, [face_box(v, spec) for v, spec in faces], bound)
+    pads = tuple(
+        tuple((Fraction(klo, scale), Fraction(khi, scale)) for klo, khi in per_axis)
+        for per_axis in ranks
+    )
+    return PadSchedule(scale, pads)
 
 
 def _full_cell(corner):

@@ -1813,6 +1813,45 @@ def test_run_scan_matches_dense_passes_on_cubes_and_generic_unions():
         _assert_runs_match_dense_passes(P)
 
 
+def _assert_each_pass_matches_its_dense_pass(P):
+    """With the dense presence table and with its ``np.unique`` fallback,
+    every axis pass of the run scan of ``P`` equals that axis's
+    ``_pair_axis`` pass: the mask table, the code dtype, and the runs,
+    expanded over the partly paired grid and read as its maximal runs along
+    the last axis."""
+    passes, original = [], lattice._pair_rows
+
+    def record(*args):
+        passes.append(original(*args))
+        return passes[-1]
+
+    for limit in (lattice._PAIR_TABLE_LIMIT, 0):
+        passes.clear()
+        with mock.patch.object(lattice, "_PAIR_TABLE_LIMIT", limit):
+            with mock.patch.object(lattice, "_pair_rows", record):
+                scan = lattice._Scan(P)
+            codes, table = lattice._occupancy(P, scan.edges).view(np.int8), [0, 1]
+            assert len(passes) == P.dim, P.boxes
+            for j, (keys, runs, entries) in enumerate(passes):
+                codes, table = _pair_axis(codes, table, j)
+                assert [entry[0] for entry in entries] == table, (j, P.boxes)
+                assert runs.dtype == codes.dtype, (j, P.boxes)
+                lengths = lattice._run_ends(keys, codes.size) - keys
+                assert np.array_equal(np.repeat(runs, lengths), codes.reshape(-1)), (j, P.boxes)
+                assert np.array_equal(keys, _run_starts(codes)), (j, P.boxes)
+
+
+def test_every_run_pass_matches_its_dense_pass():
+    # each pass drops the positions that pair padding with padding, so it
+    # numbers the partly paired grid as the dense pass does
+    models = [unit_cube(d) for d in range(1, 9)]
+    models += [from_boxes(d, []) for d in (1, 2, 3)]
+    models += [random_generic(d, n, 4 * n + 10, 1) for d, n in ((2, 40), (3, 12), (4, 5), (5, 3))]
+    models += [_crossing_stripes(20), from_boxes(3, [((0, 1, 2), (3, 5, 4))])]
+    for P in models:
+        _assert_each_pass_matches_its_dense_pass(P)
+
+
 def test_a_vertex_run_longer_than_one_point_is_refused(monkeypatch):
     # a cone with every axis essential differs from both of its neighbours
     # along the last axis, so its run is one point; dropping the run after
@@ -1895,6 +1934,21 @@ def test_sign_class_profiles_match_direct_recognition_in_dimensions_5_to_8():
             p.degree == 0 and p.degenerate and 0 not in _axis_signs(d, m).values()
             for m, p in found.items()
         ), d
+
+
+def test_every_floral_member_evaluates_back_to_its_mask():
+    # a member's diagram is derived from its sign class, not checked against
+    # its mask when it is built; here every floral one is, on the cubes,
+    # whose corners mirror one class, and on unions of the benchmark's sizes
+    models = [unit_cube(d) for d in range(1, 13)]
+    models += [random_generic(d, n, 4 * n + 10, 1) for d, n in ((2, 355), (3, 28), (4, 7))]
+    lattice._mask_profile.cache_clear()
+    for P in models:
+        profiles = lattice._Scan(P).profiles
+        floral = {m: prof.floral for m, prof in profiles.items() if not prof.degenerate}
+        assert len(floral) >= 2, P.dim
+        for mask, diagram in floral.items():
+            assert orthants_of(diagram, P.dim).mask == mask, (P.dim, mask)
 
 
 def test_scan_recognizes_only_sign_class_representatives(monkeypatch):
@@ -2074,9 +2128,10 @@ def _face_runs(scan):
 
 def test_scan_peak_matches_its_estimate(monkeypatch):
     # the run scan, all that a generic analyze builds, is charged on its
-    # occupancy and the occupancy's runs, then on its runs before each
-    # pass; it peaked at 0.94, 0.88 and 0.87 of its largest charge on these
-    # models, and under 0.3 of what composing the dense full grid needed
+    # occupancy and the occupancy's runs, then on its runs and stretches
+    # before each pass; it peaked at 0.92, 0.77 and 0.75 of its largest
+    # charge on these models, and under 0.2 of what composing the dense
+    # full grid needed
     runs = _record_charges(monkeypatch)
     first = _record_charges(monkeypatch, "_first_bytes")
     for args in ((2, 300, 1210, 1), (3, 30, 130, 1), (4, 6, 34, 1)):
@@ -2091,8 +2146,8 @@ def test_scan_peak_matches_its_estimate(monkeypatch):
 
 def test_run_scan_peak_matches_the_charge_of_its_passes(monkeypatch):
     # on crossing stripes the run passes, not the occupancy, set the peak:
-    # 0.77 of their largest charge with the presence table and 0.74 with
-    # np.unique, each over 4 times a dense full grid's estimate
+    # 0.75 of their largest charge with the presence table and 0.76 with
+    # np.unique, each charge 4.4 and 4.9 times a dense full grid's estimate
     charges = _record_charges(monkeypatch)
     P = _crossing_stripes(150)
     for limit in (lattice._PAIR_TABLE_LIMIT, 0):
@@ -2102,6 +2157,34 @@ def test_run_scan_peak_matches_the_charge_of_its_passes(monkeypatch):
         assert len(scan.vertex_runs[0]) == math.prod(scan.vertex_shape)
         assert max(charges) > 4 * _full_grid_bytes(scan.shape), limit
         assert 0.7 * max(charges) <= peak <= max(charges), limit
+
+
+def test_each_run_pass_peaks_within_its_own_charge(monkeypatch):
+    # a pass is charged on its runs and its stretches, not on the largest
+    # pass: every pass's traced peak, what the scan already holds included,
+    # stays under the charge made just before it
+    charges, peaks = _record_charges(monkeypatch), []
+    original = lattice._pair_rows
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        result = original(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return result
+
+    models = [_crossing_stripes(150)]
+    models += [random_generic(*args) for args in ((2, 300, 1210, 1), (3, 30, 130, 1), (4, 6, 34, 1))]
+    for limit in (lattice._PAIR_TABLE_LIMIT, 0):
+        monkeypatch.setattr(lattice, "_PAIR_TABLE_LIMIT", limit)
+        for P in models:
+            lattice._Scan(P)
+            charges.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(lattice, "_pair_rows", traced)
+                peaks.clear()
+                _traced_peak(lattice._Scan, P)
+            assert len(peaks) == len(charges) == P.dim, (limit, P.dim)
+            assert all(peak <= charge for peak, charge in zip(peaks, charges)), (limit, P.boxes[:2])
 
 
 def test_occupancy_of_many_boxes_stays_within_the_run_charge(monkeypatch):
