@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -48,20 +49,26 @@ _PAIR_CHUNK = 1 << 18
 
 
 def face_box(corner: Sequence[int], spec: Sequence) -> tuple:
-    """Closed box ``corner + spec`` of a unit-cube face: spec entries are
-    the ints 0 or 1 for a pinned side and None for a full extent; a bool or
-    a float is refused, as ``cli.load_faces`` refuses it.  Degenerate
-    ranges are allowed; the box is a face, not a solid."""
+    """Closed box ``corner + spec`` of a unit-cube face: corner entries are
+    integers (``operator.index``: a float, string or ``Fraction`` is
+    refused, not truncated), spec entries the ints 0 or 1 for a pinned side
+    and None for a full extent; a bool or a float is refused, as
+    ``cli.load_faces`` refuses it.  Degenerate ranges are allowed; the box
+    is a face, not a solid."""
     if len(corner) != len(spec):
         raise ValueError(f"face corner {corner} and spec {spec} differ in arity")
+    try:
+        corner = tuple(map(operator.index, corner))
+    except TypeError:
+        raise ValueError(f"face ({corner}, {spec}) has a non-integer corner") from None
     lo, hi = [], []
     for v, f in zip(corner, spec):
         if f is None:
-            lo.append(int(v))
-            hi.append(int(v) + 1)
+            lo.append(v)
+            hi.append(v + 1)
         elif type(f) is int and f in (0, 1):
-            lo.append(int(v) + f)
-            hi.append(int(v) + f)
+            lo.append(v + f)
+            hi.append(v + f)
         else:
             raise ValueError(f"face spec entry {f!r} is not the int 0 or 1, or None")
     return tuple(lo), tuple(hi)
@@ -118,7 +125,7 @@ def thicken(dim: int, faces: Sequence, bound) -> IntegralOrthotope:
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
-    faces = [(tuple(int(c) for c in v), tuple(spec)) for v, spec in faces]
+    faces = [(tuple(v), tuple(spec)) for v, spec in faces]
     if not faces:
         raise ValueError("need at least one face")
     boxes = []

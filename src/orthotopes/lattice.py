@@ -38,7 +38,6 @@ from .arrangement import (
     _half_space_mask,
     _recognize,
     edge_direction,
-    orthant_counts,
 )
 from .spd import SignedSpd, bouquet, canonical_key
 
@@ -328,11 +327,18 @@ def _cells_of(boxes) -> frozenset:
     return frozenset(cells)
 
 
-def _validate_header(dim, scale):
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-    if not isinstance(scale, int) or scale < 1:
-        raise ValueError(f"scale must be a positive integer, got {scale!r}")
+def _validate_header(dim, scale) -> tuple[int, int]:
+    """``dim`` and ``scale`` as Python ints (``operator.index``: numpy
+    integers and bools pass, a float does not), each positive."""
+    header = []
+    for name, value in (("dimension", dim), ("scale", scale)):
+        try:
+            header.append(operator.index(value))
+        except TypeError:
+            header.append(0)
+        if header[-1] < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return tuple(header)
 
 
 def from_boxes(dim: int, boxes: Iterable, scale: int = 1) -> IntegralOrthotope:
@@ -342,7 +348,7 @@ def from_boxes(dim: int, boxes: Iterable, scale: int = 1) -> IntegralOrthotope:
     ``Fraction`` is refused, not truncated) in ``_COORDINATE_RANGE``;
     overlaps and duplicates are allowed and merge silently.  An empty list
     yields the empty orthotope."""
-    _validate_header(dim, scale)
+    dim, scale = _validate_header(dim, scale)
     least, most = _COORDINATE_RANGE
     clean = set()
     for k, (lo, hi) in enumerate(boxes):
@@ -363,7 +369,7 @@ def from_boxes(dim: int, boxes: Iterable, scale: int = 1) -> IntegralOrthotope:
 def from_cells(dim: int, cells: Iterable, scale: int = 1) -> IntegralOrthotope:
     """Build an orthotope from unit cell min-corners, each read as the unit
     box at that corner and checked as ``from_boxes`` checks boxes."""
-    _validate_header(dim, scale)
+    dim, scale = _validate_header(dim, scale)
     least, most = _COORDINATE_RANGE
     cleaned = set()
     for cell in cells:
@@ -395,8 +401,6 @@ def _half(value) -> Fraction:
 
 
 class _MaskProfile(NamedTuple):
-    mu_d: int
-    tau_d: int
     essential: tuple[int, ...]
     degree: int | None
     floral: object
@@ -414,7 +418,6 @@ def _class_profile(dim: int, mask: int) -> _MaskProfile:
     floral, essential = _recognize(oset)
     degenerate = floral is DEGENERATE
     degree = None if mask == 0 else dim - len(essential)
-    mu_d, tau_d = orthant_counts(oset)
     is_vertex = degree == 0 and not degenerate
     class_key = None
     sigma = 0
@@ -424,27 +427,22 @@ def _class_profile(dim: int, mask: int) -> _MaskProfile:
         class_key = canonical_key(floral.shape)
         sigma = bouquet(floral.shape).sign
         toward = tuple(edge_direction(floral, a) for a in range(1, dim + 1))
-    return _MaskProfile(
-        mu_d, tau_d, essential, degree, floral, degenerate, is_vertex, class_key, sigma,
-        toward,
-    )
+    return _MaskProfile(essential, degree, floral, degenerate, is_vertex, class_key, sigma, toward)
 
 
 @lru_cache(maxsize=1 << 20)
 def _mask_profile(dim: int, mask: int, negative: int, mixed: int) -> _MaskProfile:
-    """The profile of any cone, ``negative`` and ``mixed`` being the axis
-    bitmasks of its signs (see ``_pair_codes``).  A cone not unate in some
-    essential axis is degenerate.  Mirroring every negative axis of another
-    gives the monotone representative of its sign class, recognized once
-    per class: the cone keeps its shape, axes, class, bouquet sign and
-    mu_d, with literal and edge direction negated on mirrored axes, and
-    tau_d negated once per mirrored axis, which flips every orthant's
-    sign."""
+    """What recognition decides about any cone, ``negative`` and ``mixed``
+    being the axis bitmasks of its signs; its mu_d and tau_d are carried
+    beside them (see ``_pair_codes``).  A cone not unate in some essential
+    axis is degenerate.  Mirroring every negative axis of another gives the
+    monotone representative of its sign class, recognized once per class:
+    the cone keeps its shape, axes, class and bouquet sign, with literal
+    and edge direction negated on mirrored axes."""
     if mixed:
-        mu_d, tau_d = orthant_counts(OrthantSet(dim, mask))
         essential = tuple(_axis_signs(dim, mask))
         degree = dim - len(essential)
-        return _MaskProfile(mu_d, tau_d, essential, degree, DEGENERATE, True, False, None, 0, None)
+        return _MaskProfile(essential, degree, DEGENERATE, True, False, None, 0, None)
     neg = frozenset(a for a in range(1, dim + 1) if negative >> (a - 1) & 1)
     rep = mask
     for a in neg:  # the two halves of the table on either side of the axis swap
@@ -459,8 +457,8 @@ def _mask_profile(dim: int, mask: int, negative: int, mixed: int) -> _MaskProfil
         floral = replace(floral, diagram=diagram) if rep.degree else diagram
         toward = toward and tuple(-t if a in neg else t for a, t in enumerate(toward, 1))
     return _MaskProfile(
-        rep.mu_d, rep.tau_d * (-1) ** len(neg), rep.essential, rep.degree, floral,
-        rep.degenerate, rep.is_vertex, rep.class_key, rep.sigma, toward,
+        rep.essential, rep.degree, floral, rep.degenerate, rep.is_vertex, rep.class_key, rep.sigma,
+        toward,
     )
 
 
@@ -596,28 +594,33 @@ def _run_ends(keys: np.ndarray, size: int) -> np.ndarray:
 
 def _pair_codes(pair: np.ndarray, table: list, j: int):
     """Code the edges of axis j whose pair codes are ``pair``.  Table codes
-    index (mask, pos, neg, mixed) entries; in the mask, bit s < 2^j is the
-    occupancy of the neighbouring cell on the hi side of axis i when bit i
-    of s is set and on the lo side otherwise.  An edge of axis j has the
-    mask of its hi slab shifted up by 2^j over that of its lo slab, so it
-    is fixed by the pair code hi * K + lo, K = len(table).  The pairs found
-    are coded 0, 1, ... in pair order, so every code is used.  Bit i of
-    ``pos``, ``neg`` or ``mixed`` is set when the mask is positive-unate,
-    negative-unate or essential but neither in axis i (``_axis_signs``,
-    carried): before axis j, a mixed side or opposite sides make it mixed;
-    on axis j, lo inside hi makes it positive and hi inside lo negative."""
+    index (mask, pos, neg, mixed, mu, tau) entries; in the mask, bit s <
+    2^j is the occupancy of the neighbouring cell on the hi side of axis i
+    when bit i of s is set and on the lo side otherwise.  An edge of axis j
+    has the mask of its hi slab shifted up by 2^j over that of its lo slab,
+    so it is fixed by the pair code hi * K + lo, K = len(table).  The pairs
+    found are coded 0, 1, ... in pair order, so every code is used.  Bit i
+    of ``pos``, ``neg`` or ``mixed`` is set when the mask is
+    positive-unate, negative-unate or essential but neither in axis i
+    (``_axis_signs``, carried): before axis j, a mixed side or opposite
+    sides make it mixed; on axis j, lo inside hi makes it positive and hi
+    inside lo negative.  ``mu`` and ``tau`` are its mu_d and tau_d over the
+    axes paired so far, carried as mu(hi) + mu(lo) and tau(hi) - tau(lo):
+    the lo side's orthants gain a negative coordinate."""
     k = len(table)
     used, out = _hash_cons(pair, k * k)
     shift = 1 << j  # both the mask's half width and axis j's bit
     entries = []
     for p in used.tolist():
-        (hi, hpos, hneg, hmix), (lo, lpos, lneg, lmix) = table[p // k], table[p % k]
+        hi, hpos, hneg, hmix, hmu, htau = table[p // k]
+        lo, lpos, lneg, lmix, lmu, ltau = table[p % k]
         mixed = hmix | lmix | (hpos & lneg) | (hneg & lpos)
         if hi != lo:
             up, down = not lo & ~hi, not hi & ~lo
             hpos, hneg = hpos | shift * up, hneg | shift * down
             mixed |= shift * (up == down)
-        entries.append(((hi << shift) | lo, (hpos | lpos) & ~mixed, (hneg | lneg) & ~mixed, mixed))
+        pos, neg = (hpos | lpos) & ~mixed, (hneg | lneg) & ~mixed
+        entries.append(((hi << shift) | lo, pos, neg, mixed, hmu + lmu, htau - ltau))
     return out, entries
 
 
@@ -717,12 +720,14 @@ class _Scan:
     axis each row pairs with the row one slab after it by merging their run
     starts, and drops the positions that pair padding with padding, so each
     pass numbers its grid as a dense pass does and the last one leaves the
-    vertex grid (see ``_pair_rows``).  Each pass hash-conses its pairs and
-    carries their axis signs, ``vertex_signs`` (see ``_pair_codes``), so
-    the codes are those of a dense pass; a run pass's work and memory grow
-    with the runs, which change only at the boundary, not with the grid's
-    volume, and it is checked against the budget on its runs before it
-    allocates (see ``_run_bytes``).  The runs decide the verdict and give
+    vertex grid (see ``_pair_rows``).  Each pass hash-conses its pairs, so
+    the codes are those of a dense pass, and carries their axis signs,
+    ``vertex_signs``, and their mu_d and tau_d, the int64 arrays
+    ``vertex_mu`` and ``vertex_tau`` by code that the formulas read (see
+    ``_pair_codes``); a run pass's work and memory grow with the runs,
+    which change only at the boundary, not with the grid's volume, and it
+    is checked against the budget on its runs before it allocates (see
+    ``_run_bytes``).  The runs decide the verdict and give
     every vertex: a slab interior's cone is the cylinder over a one-sided
     cross-section of the cone at the edge beside it, and cross-sections of
     floral cones are floral.  For the same reason
@@ -749,17 +754,20 @@ class _Scan:
         size = step = math.prod(slabs)
         _check_budget(self.shape, _first_bytes(size, 0, len(P.boxes)))
         keys, codes = _occupancy_runs(P, self.edges, self.shape)
-        table = [(0, 0, 0, 0), (1, 0, 0, 0)]
+        table = [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 1)]
         for j, n in enumerate(slabs):
             step //= n
             _check_budget(self.shape, _run_bytes(keys, step, len(table)))
             keys, codes, table = _pair_rows(keys, codes, size, n, step, table, j)
             size -= size // n
         self.vertex_runs = keys, codes
-        self.vertex_masks = [entry[0] for entry in table]
-        self.vertex_signs = [entry[1:] for entry in table]
+        masks, pos, neg, mixed, mu, tau = zip(*table)
+        self.vertex_masks = list(masks)
+        self.vertex_signs = list(zip(pos, neg, mixed))
+        self.vertex_mu = np.array(mu, dtype=np.int64)
+        self.vertex_tau = np.array(tau, dtype=np.int64)
         full = (1 << self.dim) - 1
-        self.all_essential = np.array([p | n | x == full for _m, p, n, x in table], dtype=bool)
+        self.all_essential = np.array([p | n | x == full for p, n, x in self.vertex_signs], bool)
 
     @cached_property
     def profiles(self) -> dict:
@@ -857,11 +865,10 @@ class _Scan:
     @cached_property
     def signed_vertices(self) -> tuple:
         """(point, tau_d) of the ``vertex_sites`` with tau_d != 0, read off
-        their masks: tau_d is the indicator's d-th mixed difference, so they
-        give the point set."""
-        (_at, codes, points), masks = self.vertex_sites, self.vertex_masks
-        tau = {c: orthant_counts(OrthantSet(self.dim, masks[c]))[1] for c in set(codes.tolist())}
-        return tuple((p, tau[c]) for p, c in zip(points, codes.tolist()) if tau[c])
+        ``vertex_tau``: tau_d is the indicator's d-th mixed difference, so
+        they give the point set."""
+        _at, codes, points = self.vertex_sites
+        return tuple((p, t) for p, t in zip(points, self.vertex_tau[codes].tolist()) if t)
 
 
 def _scan_for(P: IntegralOrthotope) -> _Scan:
@@ -925,10 +932,11 @@ def vertex_census(P: IntegralOrthotope) -> VertexCensus:
     scan = _require_generic(P)
     by_class: dict[str, int] = {}
     by_mu: dict[int, int] = {}
-    for _point, _mask, prof in scan.vertex_entries:
+    mu_d = scan.vertex_mu[scan.vertex_sites[1]].tolist()
+    for (_point, _mask, prof), mu in zip(scan.vertex_entries, mu_d):
         assert prof.is_vertex
         by_class[prof.class_key] = by_class.get(prof.class_key, 0) + 1
-        by_mu[prof.mu_d] = by_mu.get(prof.mu_d, 0) + 1
+        by_mu[mu] = by_mu.get(mu, 0) + 1
     return VertexCensus(dict(sorted(by_class.items())), dict(sorted(by_mu.items())))
 
 
@@ -942,21 +950,16 @@ def sigma_sum(P: IntegralOrthotope) -> int:
 def volume(P: IntegralOrthotope, method: VolumeMethod = VolumeMethod.MU_SUM) -> Fraction:
     """Exact volume of the true point set ``(1/scale) * cells``.  There are
     two routes: ``DETERMINANTAL`` sums tau_d times the coordinate product
-    over the vertices, and ``MU_SUM`` and ``VOXEL_COUNT`` both return the
-    scan's cell count, ``VOXEL_COUNT`` without the genericity check."""
+    over the ``signed_vertices`` in one integer sum, divided once by
+    scale^d, and ``MU_SUM`` and ``VOXEL_COUNT`` both return the scan's cell
+    count, ``VOXEL_COUNT`` without the genericity check."""
     if not isinstance(method, VolumeMethod):
         raise ValueError(f"unknown volume method {method!r}")
     n = P.scale
     d = P.dim
     if method is VolumeMethod.DETERMINANTAL:
-        scan = _require_generic(P)
-        total = Fraction(0)
-        for point, _mask, prof in scan.vertex_entries:
-            term = Fraction(prof.tau_d)
-            for c in point:
-                term *= Fraction(c, n)
-            total += term
-        return total if d % 2 == 0 else -total
+        total = sum(tau * math.prod(point) for point, tau in _require_generic(P).signed_vertices)
+        return Fraction(total if d % 2 == 0 else -total, n**d)
     # Each unit cell is an occupied orthant at each of its 2^d corners, so
     # the mu_d sum over the integer points is 2^d times the cell count.
     scan = _scan_for(P) if method is VolumeMethod.VOXEL_COUNT else _require_generic(P)
@@ -997,9 +1000,9 @@ def skeleton(P: IntegralOrthotope) -> SkeletonGraph:
     scan = _require_generic(P)
     d = P.dim
     at, codes, points = scan.vertex_sites
-    profs = [scan.profiles[scan.vertex_masks[c]] for c in codes.tolist()]
-    tau = np.array([prof.tau_d for prof in profs], dtype=np.int64)
-    toward = np.array([prof.toward for prof in profs], dtype=np.int64).reshape(-1, d)
+    tau = scan.vertex_tau[codes]
+    toward = [scan.profiles[scan.vertex_masks[c]].toward for c in codes.tolist()]
+    toward = np.array(toward, dtype=np.int64).reshape(-1, d)
     # every axis pairs off the same number of sites, a leftover excepted
     lo, hi = np.empty((2, d, len(points) // 2), dtype=np.intp)
     for j in range(d):

@@ -235,6 +235,20 @@ def test_only_the_scan_and_the_cubical_oracle_build_an_occupancy():
     assert kept == []
 
 
+def test_the_scan_table_is_the_only_source_of_orthant_counts():
+    # mu_d and tau_d are carried through the scan's table (``_pair_codes``);
+    # the global layer neither imports nor calls ``orthant_counts``
+    tree = ast.parse((PACKAGE / "lattice.py").read_text(encoding="utf-8"))
+    named = [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "orthant_counts")
+        or (isinstance(node, ast.Attribute) and node.attr == "orthant_counts")
+        or (isinstance(node, ast.alias) and "orthant_counts" in (node.name, node.asname))
+    ]
+    assert named == []
+
+
 def _third_party_imports() -> set:
     names = set()
     for path in sorted(PACKAGE.glob("*.py")):

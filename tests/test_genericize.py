@@ -124,6 +124,28 @@ def test_face_box_refuses_specs_that_only_compare_equal_to_0_or_1():
     assert face_box((0, 0), (0, 1)) == ((0, 1), (0, 1))
 
 
+def test_face_corners_are_refused_not_truncated():
+    # int() cut 0.9 down to 0, so the unit square was at distance 0 from a
+    # face at 0.9, and a face at (0.7, 1.9) was padded at (0, 1); numpy
+    # integers and bools are the ints they are
+    square = from_boxes(2, [((0, 0), (1, 1))])
+    faces = [((0.9, 0.2), (None, None)), ((0.7, 1.9), (None, None))]
+    faces += [((bad, 0), (0, None)) for bad in (1.0, "1", Fraction(3, 2))]
+    for face in faces:
+        with pytest.raises(ValueError, match=r"^face .* has a non-integer corner$"):
+            face_box(*face)
+        with pytest.raises(ValueError, match="non-integer corner"):
+            thicken(2, [face], 1)
+        with pytest.raises(ValueError, match="non-integer corner"):
+            distance_to_faces(square, [face])
+    box = face_box((np.int64(2), True), (None, 0))
+    assert box == ((2, 1), (3, 1))
+    assert all(type(c) is int for corner in box for c in corner)
+    wide, plain = [((np.int32(1), np.int64(1)), (0, None))], [((1, 1), (0, None))]
+    assert thicken(2, wide, 1).boxes == thicken(2, plain, 1).boxes
+    assert distance_to_faces(square, wide) == distance_to_faces(square, plain) == 1
+
+
 # ---------------------------------------------------------------------------
 # thicken
 

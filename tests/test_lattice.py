@@ -35,6 +35,7 @@ from orthotopes.arrangement import (
     _cofactor,
     _half_space_mask,
     edge_direction,
+    orthant_counts,
     orthants_of,
 )
 from orthotopes.genericize import random_generic
@@ -214,6 +215,31 @@ def test_non_integer_coordinates_are_refused_not_truncated(torus):
     assert from_boxes(1, [((False,), (True,))]).boxes == (((0,), (1,)),)
     section = cross_section(torus, {np.int64(3): Fraction(1, 2)})
     assert section == cross_section(torus, {3: Fraction(1, 2)})
+
+
+def test_header_is_read_as_python_ints(tmp_path):
+    # numpy integers are integers, and bools the ints they are, kept as
+    # ints so that the CLI reloads the model files it writes; a float is
+    # refused as before
+    boxes = [((0, 0), (2, 1)), ((1, 1), (3, 2))]
+    wide = from_boxes(np.int64(2), boxes, scale=np.int32(3))
+    assert wide == from_boxes(2, boxes, scale=3)
+    assert type(wide.dim) is int and type(wide.scale) is int
+    cells = from_cells(np.int16(2), [(0, 0)], scale=np.uint8(2))
+    assert cells == from_cells(2, [(0, 0)], scale=2)
+    assert type(cells.dim) is int and type(cells.scale) is int
+    flag = from_boxes(True, [((0,), (2,))], scale=True)
+    assert type(flag.dim) is int and type(flag.scale) is int
+    text = cli._dumps(cli.save_model(flag))
+    assert '"dim": 1' in text and '"scale": 1' in text
+    path = tmp_path / "flag.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.load_model(str(path)) == flag
+    for bad in (2.0, "2", Fraction(2)):
+        with pytest.raises(ValueError, match="^dimension must be a positive integer"):
+            from_boxes(bad, boxes)
+        with pytest.raises(ValueError, match="^scale must be a positive integer"):
+            from_cells(2, [(0, 0)], scale=bad)
 
 
 def test_cells_and_boxes_views_agree():
@@ -458,7 +484,7 @@ def _reference_mu_sum(scan):
     count."""
     d = scan.dim
     inverse, masks = _full_grid(scan)
-    mu = np.array([lattice._class_profile(d, m).mu_d for m in masks], dtype=object)
+    mu = np.array([orthant_counts(OrthantSet(d, m))[0] for m in masks], dtype=object)
     total = mu[inverse]
     for j in reversed(range(d)):
         w = np.ones(scan.shape[j], dtype=object)
@@ -666,7 +692,7 @@ def _reference_skeleton(P):
     nodes = []
     for base in vertex_positions.tolist():
         point = scan.point_of(base)
-        tau = profiles[int(inverse[tuple(base)])].tau_d
+        tau = orthant_counts(OrthantSet(P.dim, masks[int(inverse[tuple(base)])]))[1]
         node_index[point] = tau
         nodes.append((point, tau))
     arcs = set()
@@ -715,17 +741,16 @@ def test_skeleton_matches_the_line_walk(torus):
 def test_skeleton_checks_edge_directions(torus, monkeypatch):
     assert len(skeleton(torus).arcs) == 48
     scan = lattice._scan_for(torus)
-    profiles = scan.profiles
-    # the skeleton reads each site's profile afresh; tau signs are checked
-    # after the edge directions
-    for change, message in (
-        ({"toward": (1, 1, 1)}, "edges point apart"),
-        ({"tau_d": 1}, "tau signs fail to alternate"),
-    ):
-        patched = {m: p._replace(**change) for m, p in profiles.items()}
-        monkeypatch.setattr(scan, "profiles", patched)
-        with pytest.raises(ConsistencyError, match=message):
+    # the skeleton reads each site's profile and carried tau_d afresh; tau
+    # signs are checked after the edge directions
+    patched = {m: p._replace(toward=(1, 1, 1)) for m, p in scan.profiles.items()}
+    with monkeypatch.context() as patch:
+        patch.setattr(scan, "profiles", patched)
+        with pytest.raises(ConsistencyError, match="edges point apart"):
             skeleton(torus)
+    monkeypatch.setattr(scan, "vertex_tau", np.ones_like(scan.vertex_tau))
+    with pytest.raises(ConsistencyError, match="tau signs fail to alternate"):
+        skeleton(torus)
 
 
 def test_skeleton_pairs_vertices_on_one_line_only():
@@ -755,7 +780,7 @@ def _previous_skeleton(P):
     d = P.dim
     entries = scan.vertex_entries
     points = [point for point, _mask, _prof in entries]
-    nodes = tuple((point, prof.tau_d) for point, _mask, prof in entries)
+    nodes = tuple((point, orthant_counts(OrthantSet(d, mask))[1]) for point, mask, _p in entries)
     tau = np.array([t for _point, t in nodes], dtype=np.int64)
     at = np.array(points, dtype=np.int64).reshape(-1, d)
     toward = np.array([prof.toward for _p, _m, prof in entries], np.int64).reshape(-1, d)
@@ -1698,9 +1723,10 @@ def test_scan_agrees_with_oracles_on_contact_unions(dim, data):
             assert info.value.witness == verdict.witness
         return
     by_class, by_mu = {}, {}
-    for _point, _mask, prof in full.vertex_entries():
+    for _point, mask, prof in full.vertex_entries():
+        mu_d = orthant_counts(OrthantSet(d, mask))[0]
         by_class[prof.class_key] = by_class.get(prof.class_key, 0) + 1
-        by_mu[prof.mu_d] = by_mu.get(prof.mu_d, 0) + 1
+        by_mu[mu_d] = by_mu.get(mu_d, 0) + 1
     census = vertex_census(P)
     assert census.by_class == by_class and census.by_mu == by_mu
     assert volume(P) == volume(P, VolumeMethod.DETERMINANTAL) == len(cells)
@@ -1850,6 +1876,54 @@ def test_every_run_pass_matches_its_dense_pass():
     models += [_crossing_stripes(20), from_boxes(3, [((0, 1, 2), (3, 5, 4))])]
     for P in models:
         _assert_each_pass_matches_its_dense_pass(P)
+
+
+def _assert_carried_counts_are_orthant_counts(P):
+    """With the dense presence table and with its ``np.unique`` fallback,
+    every table entry of every axis pass of the scan of ``P`` carries the
+    ``orthant_counts`` of its mask over the axes paired so far, and the
+    scan keeps the last pass's as int64 arrays by code."""
+    passes, original = [], lattice._pair_rows
+
+    def record(*args):
+        passes.append(original(*args))
+        return passes[-1]
+
+    for limit in (lattice._PAIR_TABLE_LIMIT, 0):
+        passes.clear()
+        with mock.patch.object(lattice, "_PAIR_TABLE_LIMIT", limit):
+            with mock.patch.object(lattice, "_pair_rows", record):
+                scan = lattice._Scan(P)
+        assert len(passes) == P.dim, P.boxes
+        for j, (_keys, _codes, table) in enumerate(passes):
+            counts = [orthant_counts(OrthantSet(j + 1, entry[0])) for entry in table]
+            assert [tuple(entry[4:]) for entry in table] == counts, (j, P.boxes)
+        assert scan.vertex_mu.dtype == scan.vertex_tau.dtype == np.int64
+        carried = zip(scan.vertex_mu.tolist(), scan.vertex_tau.tolist())
+        assert list(carried) == counts, P.boxes
+
+
+def test_carried_counts_are_orthant_counts():
+    # mu_d and tau_d compose along each pass as mu(hi) + mu(lo) and
+    # tau(hi) - tau(lo); checked against the direct count on cubes, generic
+    # unions, touching unions with witnesses and crossing stripes
+    rng = random.Random(2700)
+    models = [unit_cube(d) for d in range(1, 13)]
+    models += [random_generic(d, n, 4 * n + 10, 1) for d, n in ((2, 40), (3, 12), (4, 5), (5, 3))]
+    touching = [_random_touching_union(rng, _POOLS[d], 3) for d in range(1, 8) for _ in range(3)]
+    assert sum(not check_generic(P) for P in touching) >= 5
+    models += touching + [_crossing_stripes(20)]
+    for P in models:
+        _assert_carried_counts_are_orthant_counts(P)
+    # what is read off the int64 arrays leaves as Python ints and Fractions
+    P = random_generic(3, 8, 42, 1)
+    census, graph = vertex_census(P), skeleton(P)
+    read = [t for _p, t in lattice._scan_for(P).signed_vertices + graph.nodes]
+    read += [*census.by_mu, *census.by_mu.values()]
+    assert read and all(type(v) is int for v in read)
+    for method in VolumeMethod:
+        value = volume(P, method)
+        assert (type(value), type(value.numerator), type(value.denominator)) == (Fraction, int, int)
 
 
 def test_a_vertex_run_longer_than_one_point_is_refused(monkeypatch):
